@@ -41,8 +41,7 @@ fn body(
     // is part of the label so resume keys never collide. The whole grid
     // is submitted as one batch — grid-point-major, so the three
     // operating points of a point sit next to each other and share one
-    // recorded functional trace locally, or reach a `--serve` daemon in a
-    // single round trip instead of one per cell.
+    // recorded functional trace.
     let mut batch: Vec<(String, CellSpec)> = Vec::new();
     for &nbs in &grid {
         for &bs in &grid {

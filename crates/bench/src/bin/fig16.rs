@@ -113,12 +113,11 @@ fn body(
 
     // Build the whole sweep as one batched cell list, kernel-major so the
     // cells sharing a functional trace (one kernel x corner across the
-    // baseline and both VPU panels) are adjacent — the local trace store
-    // is FIFO-bounded, and a daemon sees the entire figure in a single
-    // round trip instead of one per cell. The baseline cell's label is
-    // shared across the 2-VPU and 1-VPU panels (it appears once in the
-    // batch), so each baseline is computed exactly once wherever the
-    // batch lands: checkpoint journal, daemon memo, or local memo.
+    // baseline and both VPU panels) are adjacent — the trace store is
+    // FIFO-bounded. The baseline cell's label is shared across the 2-VPU
+    // and 1-VPU panels (it appears once in the batch), so each baseline is
+    // computed exactly once: restored from the checkpoint journal or run
+    // once through the trace store.
     let mut cells: Vec<(String, CellSpec)> = Vec::new();
     for prec in [Precision::F32, Precision::Mixed] {
         for k in &set {

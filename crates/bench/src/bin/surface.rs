@@ -9,10 +9,8 @@
 //! with `--resume`, and the output must equal an uninterrupted run's.
 //!
 //! Usage: `surface [--config baseline|save2|save1] [--cores N] [--k K]
-//! [--tiles T]` plus the uniform durable flags. With `--serve ADDR` the
-//! whole grid is submitted to a save-serve daemon as one job (the daemon's
-//! memo cache makes re-runs free) and the output JSON is identical in
-//! shape, with `resumed` counting daemon cache hits.
+//! [--tiles T]` plus the uniform durable flags. `resumed` in the output
+//! counts the cells restored from the journal instead of simulated.
 //!
 //! `surface fsck PATH [--repair]` instead audits a checkpoint journal:
 //! torn tails, missing final newlines, and duplicate latest-record-wins
@@ -21,7 +19,6 @@
 
 use save_bench::{run_main, BenchCli, SweepSession};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_serve::{Client, NamedCell};
 use save_sim::surface::DurableSweep;
 use save_sim::{fsck_journal, ConfigKind, MachineConfig, SimError, Surface};
 use serde::Serialize;
@@ -71,73 +68,6 @@ fn fsck(cli: &BenchCli) -> Result<(), SimError> {
     Ok(())
 }
 
-/// `--serve ADDR`: submit the whole grid to a daemon as one job. With
-/// `--fault-first` the first cell carries a [`save_serve::Fault::KillWorker`]
-/// injection — the daemon's respawn monitor must recover it, so the output
-/// stays identical (this is what the CI serve-smoke job drives).
-fn serve_sweep(
-    addr: &str,
-    session: &mut SweepSession,
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    grid: &[f64],
-    fault_first: bool,
-) -> Result<(), SimError> {
-    let mut cells = Vec::with_capacity(grid.len() * grid.len());
-    for &a in grid {
-        for &b in grid {
-            cells.push(NamedCell {
-                label: format!("cell({a:.3},{b:.3})"),
-                spec: save_sim::CellSpec::new(
-                    w.clone().with_sparsity(a, b),
-                    kind,
-                    *machine,
-                    Surface::point_seed(a, b),
-                ),
-                fault: None,
-            });
-        }
-    }
-    if fault_first {
-        if let Some(first) = cells.first_mut() {
-            first.fault = Some(save_serve::Fault::KillWorker);
-        }
-    }
-    let n = cells.len();
-    let mut secs_bits = vec![f64::NAN.to_bits(); n];
-    let mut total_cycles = 0u64;
-    let mut client = Client::connect(addr)?;
-    let done = client.submit("surface", &cells, |r| {
-        let i = r.index as usize;
-        if i < n {
-            secs_bits[i] = r.secs_bits;
-            total_cycles += r.cycles;
-        }
-    })?;
-    if done.cancelled {
-        session.note_cancelled();
-        return Ok(());
-    }
-    if done.failed > 0 {
-        session.note_failure(
-            "serve-sweep",
-            SimError::Io { what: format!("{} remote cell(s) failed", done.failed) },
-        );
-    }
-    let payload = Out {
-        a_levels: grid.to_vec(),
-        b_levels: grid.to_vec(),
-        secs_bits,
-        total_cycles,
-        resumed: done.cached,
-    };
-    let line = serde_json::to_string(&payload)
-        .map_err(|e| SimError::Io { what: format!("serialize surface: {e}") })?;
-    println!("{line}");
-    Ok(())
-}
-
 fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
     if cli.rest.first().map(String::as_str) == Some("fsck") {
         return fsck(cli);
@@ -178,11 +108,6 @@ fn body(cli: &BenchCli, session: &mut SweepSession) -> Result<(), SimError> {
         tiles,
     );
     let grid = cli.grid();
-
-    if let Some(addr) = cli.serve_addr.clone() {
-        let fault_first = cli.rest.iter().any(|a| a == "--fault-first");
-        return serve_sweep(&addr, session, &w, kind, &machine, &grid, fault_first);
-    }
 
     // The session's own checkpoint (manifest + label journal) lives at the
     // root of --checkpoint-dir; the surface sweep journals its cells in a

@@ -24,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use save_serve::{CellResult, Client, NamedCell};
 use save_sim::checkpoint::{fnv1a, CellRecord, Checkpoint, SweepManifest};
 use save_sim::durable::{exit_code_for, run_cell, RetryPolicy, EXIT_FAILURES, EXIT_USAGE};
 use save_sim::error::{RetryClass, SimError};
@@ -111,10 +110,6 @@ pub struct BenchCli {
     pub retries: u32,
     /// Worker threads for surface sweeps (`--threads N`).
     pub threads: Option<usize>,
-    /// Submit spec-based cells to a running save-serve daemon at this
-    /// address instead of simulating locally (`--serve ADDR`). Transport
-    /// failures degrade gracefully back to local execution.
-    pub serve_addr: Option<String>,
     /// Positional / binary-specific arguments, in order.
     pub rest: Vec<String>,
 }
@@ -122,7 +117,7 @@ pub struct BenchCli {
 /// The usage text appended to flag-parse errors.
 pub const BENCH_USAGE: &str = "uniform flags: [--quick] [--full] \
      [--checkpoint-dir DIR] [--resume] [--cell-deadline MS] [--retries N] \
-     [--threads N] [--serve ADDR]";
+     [--threads N]";
 
 impl BenchCli {
     /// Parses the process command line (without the program name).
@@ -174,7 +169,6 @@ impl BenchCli {
                         format!("--threads takes a count, got {v:?}\n{BENCH_USAGE}")
                     })?);
                 }
-                "--serve" => cli.serve_addr = Some(value(&arg)?),
                 _ => cli.rest.push(arg),
             }
         }
@@ -212,31 +206,6 @@ impl BenchCli {
     }
 }
 
-/// Backwards-compatible alias used by older call sites: `--quick`/`--full`
-/// only. Prefer [`BenchCli`] via [`run_main`].
-pub struct HarnessArgs {
-    /// Reduced sweep sizes.
-    pub quick: bool,
-    /// Use the paper's full 10-level grid.
-    pub full: bool,
-}
-
-impl HarnessArgs {
-    /// Parses `--quick` / `--full` from the command line.
-    pub fn parse() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        HarnessArgs {
-            quick: args.iter().any(|a| a == "--quick"),
-            full: args.iter().any(|a| a == "--full"),
-        }
-    }
-
-    /// The sparsity grid implied by the flags.
-    pub fn grid(&self) -> Vec<f64> {
-        BenchCli { quick: self.quick, full: self.full, ..BenchCli::default() }.grid()
-    }
-}
-
 /// Fault-isolating, durable harness for one experiment binary.
 ///
 /// Every simulated cell goes through [`SweepSession::run`] (or the
@@ -264,15 +233,6 @@ pub struct SweepSession {
     checkpoint: Option<Checkpoint>,
     resumed: usize,
     cancelled: bool,
-    /// `--serve ADDR`: submit [`SweepSession::spec_seconds`] cells to a
-    /// save-serve daemon instead of simulating locally.
-    serve_addr: Option<String>,
-    /// Lazily-opened connection to the daemon.
-    serve_client: Option<Client>,
-    /// Latched after a transport failure: all further cells run locally.
-    serve_degraded: bool,
-    /// Cells answered by the daemon (including its cache hits).
-    served: usize,
 }
 
 impl SweepSession {
@@ -292,10 +252,6 @@ impl SweepSession {
             checkpoint: None,
             resumed: 0,
             cancelled: false,
-            serve_addr: None,
-            serve_client: None,
-            serve_degraded: false,
-            served: 0,
         }
     }
 
@@ -339,10 +295,6 @@ impl SweepSession {
             checkpoint,
             resumed,
             cancelled: false,
-            serve_addr: cli.serve_addr.clone(),
-            serve_client: None,
-            serve_degraded: false,
-            served: 0,
         })
     }
 
@@ -504,315 +456,20 @@ impl SweepSession {
         secs
     }
 
-    /// Like [`SweepSession::seconds`] for a self-describing [`CellSpec`]
-    /// cell: with `--serve ADDR`, the cell is submitted to a save-serve
-    /// daemon (which memoizes it by content hash across *all* clients and
-    /// restarts) and the streamed result is journaled locally exactly as a
-    /// local run would be. Any transport failure — refused connection,
-    /// daemon draining, torn stream — degrades the whole session to local
-    /// execution with a warning; the result is bit-identical either way
-    /// because the simulator is deterministic.
-    pub fn spec_seconds(&mut self, label: &str, spec: &CellSpec) -> f64 {
-        if self.serve_addr.is_some() && !self.serve_degraded {
-            // A locally-journaled cell never needs the network; fall through
-            // to `seconds`, which replays it without calling the closure.
-            let journaled = self
-                .checkpoint
-                .as_ref()
-                .and_then(|c| c.done(fnv1a(label.as_bytes())))
-                .is_some();
-            if !journaled {
-                if let Some(secs) = self.remote_seconds(label, spec) {
-                    return secs;
-                }
-            }
-        }
-        let spec = spec.clone();
-        self.seconds(label, move |tok| spec.run(Some(tok)).map(|r| r.seconds))
-    }
-
-    /// Batched [`SweepSession::spec_seconds`]: resolves every
-    /// `(label, spec)` cell and returns their seconds in submission order.
-    ///
-    /// With `--serve`, every not-yet-journaled cell goes to the daemon in
-    /// **one** submission — one round trip for the whole batch instead of
-    /// one per cell — so the daemon's content-hash memo deduplicates
-    /// shared cells (fig16's per-panel baseline resubmissions, repeated
-    /// VGG shapes) server-side within the batch. Locally — no daemon, or
-    /// after degrading — the batch runs through one shared [`TraceStore`],
-    /// so each distinct functional key is executed once and every other
-    /// cell replays its trace or is served from the full-result memo,
-    /// bit-identically (DESIGN.md §5h).
+    /// Resolves a batch of self-describing `(label, spec)` cells through
+    /// [`SweepSession::seconds`] and returns their seconds in submission
+    /// order. Journaled cells are restored without running; the rest share
+    /// one bounded [`TraceStore`], so each distinct functional key is
+    /// executed once and every other cell replays its trace or is answered
+    /// from the full-result memo, bit-identically (DESIGN.md §5h).
     pub fn spec_seconds_batch(&mut self, cells: &[(String, CellSpec)]) -> Vec<f64> {
-        let mut out = vec![f64::NAN; cells.len()];
-        let mut resolved = vec![false; cells.len()];
-
-        // Journaled cells replay from the checkpoint without network or
-        // execution (the closure below never runs for them).
-        for (i, (label, spec)) in cells.iter().enumerate() {
-            let journaled = self
-                .checkpoint
-                .as_ref()
-                .and_then(|c| c.done(fnv1a(label.as_bytes())))
-                .is_some();
-            if journaled {
-                let spec = spec.clone();
-                out[i] = self.seconds(label, move |tok| {
-                    spec.run(Some(tok)).map(|r| r.seconds)
-                });
-                resolved[i] = true;
-            }
-        }
-
-        if self.serve_addr.is_some() && !self.serve_degraded {
-            let pending: Vec<usize> =
-                (0..cells.len()).filter(|&i| !resolved[i]).collect();
-            if !pending.is_empty() {
-                for (slot, secs) in self.remote_seconds_batch(cells, &pending) {
-                    out[slot] = secs;
-                    resolved[slot] = true;
-                }
-            }
-        }
-
-        // Local execution for whatever the daemon didn't answer, sharing
-        // one bounded trace store across the batch.
         let store = TraceStore::with_capacity(8);
-        for (i, (label, spec)) in cells.iter().enumerate() {
-            if resolved[i] {
-                continue;
-            }
-            let spec = spec.clone();
-            let store = &store;
-            out[i] = self.seconds(label, move |tok| {
-                spec.run_traced(Some(tok), store).map(|r| r.seconds)
-            });
-        }
-        out
-    }
-
-    /// One batched submission of `pending` (indices into `cells`) to the
-    /// daemon. Returns definitive `(index, secs)` outcomes; results the
-    /// daemon never delivered — transport failure mid-stream, refused
-    /// connection — are simply absent, and the caller runs them locally
-    /// (transport failures latch degraded mode exactly like
-    /// [`SweepSession::remote_seconds`]). Delivered results are journaled
-    /// and counted identically to the one-cell path.
-    fn remote_seconds_batch(
-        &mut self,
-        cells: &[(String, CellSpec)],
-        pending: &[usize],
-    ) -> Vec<(usize, f64)> {
-        let mut out = Vec::new();
-        if self.cancelled || self.sup.global().is_cancelled() {
-            self.cancelled = true;
-            self.jobs += pending.len();
-            return pending.iter().map(|&s| (s, f64::NAN)).collect();
-        }
-        let Some(addr) = self.serve_addr.clone() else {
-            return out;
-        };
-        if self.serve_client.is_none() {
-            match Client::connect(&addr) {
-                Ok(c) => self.serve_client = Some(c),
-                Err(e) => {
-                    eprintln!(
-                        "[{}] --serve {addr} unavailable ([{}] {e}); degrading to local execution",
-                        self.name,
-                        e.kind()
-                    );
-                    self.serve_degraded = true;
-                    return out;
-                }
-            }
-        }
-        let named: Vec<NamedCell> = pending
+        cells
             .iter()
-            .map(|&i| NamedCell {
-                label: cells[i].0.clone(),
-                spec: cells[i].1.clone(),
-                fault: None,
+            .map(|(label, spec)| {
+                self.seconds(label, |tok| spec.run_traced(Some(tok), &store).map(|r| r.seconds))
             })
-            .collect();
-        let mut got: Vec<Option<CellResult>> = vec![None; named.len()];
-        let outcome = self
-            .serve_client
-            .as_mut()
-            .expect("connected above")
-            .submit(&format!("{}:batch", self.name), &named, |r| {
-                if let Some(slot) = got.get_mut(r.index as usize) {
-                    *slot = Some(r.clone());
-                }
-            });
-        let done = match outcome {
-            Ok(done) => Some(done),
-            Err(e) => {
-                eprintln!(
-                    "[{}] --serve {addr} failed ([{}] {e}); degrading to local execution",
-                    self.name,
-                    e.kind()
-                );
-                self.serve_degraded = true;
-                self.serve_client = None;
-                None
-            }
-        };
-        let daemon_cancelled = done.as_ref().is_some_and(|d| d.cancelled);
-        for (k, result) in got.into_iter().enumerate() {
-            let slot = pending[k];
-            let label = &cells[slot].0;
-            let Some(result) = result else {
-                if daemon_cancelled {
-                    // Daemon cancelled before this cell ran: resumable,
-                    // not journaled, not run locally.
-                    self.cancelled = true;
-                    self.jobs += 1;
-                    out.push((slot, f64::NAN));
-                }
-                continue;
-            };
-            self.served += 1;
-            let job = self.jobs;
-            self.jobs += 1;
-            if result.error_kind == "cancelled" {
-                self.cancelled = true;
-                out.push((slot, f64::NAN));
-                continue;
-            }
-            if !result.ok() {
-                eprintln!(
-                    "[{}] job {job} ({label}) failed on daemon after {} attempt(s): [{}]",
-                    self.name, result.attempts, result.error_kind
-                );
-                self.failures.push(JobFailure {
-                    job,
-                    label: Some(label.to_string()),
-                    attempts: result.attempts.max(1) as usize,
-                    error: SimError::Io {
-                        what: format!("remote cell failed (kind: {})", result.error_kind),
-                    },
-                });
-            }
-            if let Some(ck) = self.checkpoint.as_mut() {
-                let rec = CellRecord {
-                    cell: fnv1a(label.as_bytes()),
-                    secs_bits: result.secs_bits,
-                    cycles: result.cycles,
-                    attempts: result.attempts,
-                    error_kind: result.error_kind.clone(),
-                };
-                if let Err(e) = ck.record(rec) {
-                    eprintln!("[{}] journal append failed: {e}", self.name);
-                }
-            }
-            out.push((slot, result.secs()));
-        }
-        out
-    }
-
-    /// Number of cells answered by the daemon so far (`--serve` mode).
-    pub fn served(&self) -> usize {
-        self.served
-    }
-
-    /// One-cell submission to the daemon. `None` means "transport-level
-    /// failure, run locally instead" (and latches degraded mode);
-    /// `Some(secs)` is a definitive outcome — success, remote failure
-    /// (recorded + journaled like a local one), or cancellation.
-    fn remote_seconds(&mut self, label: &str, spec: &CellSpec) -> Option<f64> {
-        if self.cancelled || self.sup.global().is_cancelled() {
-            self.cancelled = true;
-            self.jobs += 1;
-            return Some(f64::NAN);
-        }
-        let addr = self.serve_addr.clone()?;
-        if self.serve_client.is_none() {
-            match Client::connect(&addr) {
-                Ok(c) => self.serve_client = Some(c),
-                Err(e) => {
-                    eprintln!(
-                        "[{}] --serve {addr} unavailable ([{}] {e}); degrading to local execution",
-                        self.name,
-                        e.kind()
-                    );
-                    self.serve_degraded = true;
-                    return None;
-                }
-            }
-        }
-        let cells =
-            vec![NamedCell { label: label.to_string(), spec: spec.clone(), fault: None }];
-        let mut got: Option<CellResult> = None;
-        let outcome = self
-            .serve_client
-            .as_mut()
-            .expect("connected above")
-            .submit(&format!("{}:{label}", self.name), &cells, |r| got = Some(r.clone()));
-        let result = match (outcome, got) {
-            (Ok(_), Some(r)) => r,
-            (Ok(done), None) => {
-                // Daemon cancelled the job before our cell ran: resumable.
-                if done.cancelled {
-                    self.cancelled = true;
-                    self.jobs += 1;
-                    return Some(f64::NAN);
-                }
-                eprintln!(
-                    "[{}] --serve {addr}: job done without a cell result; degrading to local",
-                    self.name
-                );
-                self.serve_degraded = true;
-                self.serve_client = None;
-                return None;
-            }
-            (Err(e), _) => {
-                eprintln!(
-                    "[{}] --serve {addr} failed ([{}] {e}); degrading to local execution",
-                    self.name,
-                    e.kind()
-                );
-                self.serve_degraded = true;
-                self.serve_client = None;
-                return None;
-            }
-        };
-        self.served += 1;
-        let job = self.jobs;
-        self.jobs += 1;
-        if result.error_kind == "cancelled" {
-            // Daemon-side cancellation: not journaled, resumable.
-            self.cancelled = true;
-            return Some(f64::NAN);
-        }
-        if !result.ok() {
-            eprintln!(
-                "[{}] job {job} ({label}) failed on daemon after {} attempt(s): [{}]",
-                self.name, result.attempts, result.error_kind
-            );
-            self.failures.push(JobFailure {
-                job,
-                label: Some(label.to_string()),
-                attempts: result.attempts.max(1) as usize,
-                error: SimError::Io {
-                    what: format!("remote cell failed (kind: {})", result.error_kind),
-                },
-            });
-        }
-        // Journal the remote result under the same label key a local run
-        // would use, so `--resume` replays it without the daemon.
-        if let Some(ck) = self.checkpoint.as_mut() {
-            let rec = CellRecord {
-                cell: fnv1a(label.as_bytes()),
-                secs_bits: result.secs_bits,
-                cycles: result.cycles,
-                attempts: result.attempts,
-                error_kind: result.error_kind.clone(),
-            };
-            if let Err(e) = ck.record(rec) {
-                eprintln!("[{}] journal append failed: {e}", self.name);
-            }
-        }
-        Some(result.secs())
+            .collect()
     }
 
     /// The failure report accumulated so far.
@@ -831,8 +488,8 @@ impl SweepSession {
 
     /// The exit code [`SweepSession::finish`] will map to: cancellation
     /// outranks failures (the run is resumable, not broken). Delegates to
-    /// [`save_sim::durable::exit_code_for`] so every binary — and the
-    /// save-serve daemon — shares one mapping.
+    /// [`save_sim::durable::exit_code_for`] so every binary shares one
+    /// mapping.
     fn exit_code(&self) -> u8 {
         exit_code_for(self.cancelled, self.failures.is_empty())
     }
@@ -1035,6 +692,63 @@ mod tests {
         // A different experiment may not reuse the directory.
         let err = SweepSession::durable("other", &cli2, sup.handle()).err().expect("manifest must mismatch");
         assert!(err.to_string().contains("different sweep"), "{err}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The batch path on a durable session: every cell equals its direct
+    /// run bit for bit — including a cell repeated under a second label,
+    /// which the shared store answers from its memo — and a resumed
+    /// session restores the whole batch from the journal with the same
+    /// bits.
+    #[test]
+    fn spec_batch_matches_direct_runs_and_resumes_bit_identically() {
+        use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
+        use save_sim::{ConfigKind, MachineConfig};
+
+        let w = GemmWorkload::dense(
+            "batch",
+            GemmKernelSpec {
+                m_tiles: 4,
+                n_vecs: 2,
+                pattern: BroadcastPattern::Explicit,
+                precision: Precision::F32,
+            },
+            16,
+            2,
+        )
+        .with_sparsity(0.3, 0.5);
+        let spec = |kind| CellSpec::new(w.clone(), kind, MachineConfig::default(), 11);
+        let cells = vec![
+            ("base".to_string(), spec(ConfigKind::Baseline)),
+            ("save2".to_string(), spec(ConfigKind::Save2Vpu)),
+            ("save2-again".to_string(), spec(ConfigKind::Save2Vpu)),
+        ];
+        let direct: Vec<u64> =
+            cells.iter().map(|(_, s)| s.run(None).unwrap().seconds.to_bits()).collect();
+        let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+
+        let dir =
+            std::env::temp_dir().join(format!("save-bench-batch-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cli = BenchCli::parse_from([
+            "--checkpoint-dir".to_string(),
+            dir.display().to_string(),
+        ])
+        .unwrap();
+        let sup = Supervisor::start(false);
+
+        let mut s = SweepSession::durable("batch", &cli, sup.handle()).unwrap();
+        let first = s.spec_seconds_batch(&cells);
+        assert_eq!(bits(&first), direct, "batch must equal direct runs bit for bit");
+        assert!(s.is_clean(), "{}", s.report());
+        drop(s);
+
+        let resume = BenchCli { resume: true, ..cli };
+        let mut s = SweepSession::durable("batch", &resume, sup.handle()).unwrap();
+        assert_eq!(s.resumed(), cells.len(), "every label is journaled");
+        let again = s.spec_seconds_batch(&cells);
+        assert_eq!(bits(&again), direct, "resumed batch must return the same bits");
+        assert!(s.is_clean(), "{}", s.report());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

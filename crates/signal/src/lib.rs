@@ -15,34 +15,20 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by the signal handler (or [`request_cancel`]) once a cancellation
 /// signal has been observed. Never cleared in production code.
 static CANCEL_REQUESTED: AtomicBool = AtomicBool::new(false);
-
-/// Number of cancellation signals observed (SIGINT/SIGTERM deliveries plus
-/// [`request_cancel`] calls). A long-running daemon distinguishes "first
-/// signal: stop admitting work and drain gracefully" from "second signal:
-/// force-cancel in-flight cells and exit with the resumable 130 code" by
-/// watching this count; one-shot sweep binaries only care about the flag.
-static SIGNAL_COUNT: AtomicU32 = AtomicU32::new(0);
 
 /// `true` once SIGINT/SIGTERM was received (or [`request_cancel`] called).
 pub fn cancel_requested() -> bool {
     CANCEL_REQUESTED.load(Ordering::SeqCst)
 }
 
-/// How many cancellation signals have been observed so far.
-pub fn signal_count() -> u32 {
-    SIGNAL_COUNT.load(Ordering::SeqCst)
-}
-
 /// Programmatic equivalent of receiving a signal — used by tests and by
-/// embedders that have their own shutdown source. Each call counts as one
-/// signal delivery for [`signal_count`].
+/// embedders that have their own shutdown source.
 pub fn request_cancel() {
-    SIGNAL_COUNT.fetch_add(1, Ordering::SeqCst);
     CANCEL_REQUESTED.store(true, Ordering::SeqCst);
 }
 
@@ -50,15 +36,14 @@ pub fn request_cancel() {
 /// Production code must never call this: a user's Ctrl-C is final.
 pub fn reset_for_test() {
     CANCEL_REQUESTED.store(false, Ordering::SeqCst);
-    SIGNAL_COUNT.store(0, Ordering::SeqCst);
 }
 
 #[cfg(unix)]
 #[allow(unsafe_code)]
 mod imp {
     //! The one `unsafe` region in the workspace: registering a C signal
-    //! handler. The handler body is a single relaxed-to-SeqCst atomic
-    //! store, the canonical async-signal-safe operation.
+    //! handler. The handler body is a single SeqCst atomic store, the
+    //! canonical async-signal-safe operation.
 
     use std::sync::atomic::Ordering;
 
@@ -66,8 +51,7 @@ mod imp {
     const SIGTERM: i32 = 15;
 
     extern "C" fn on_signal(_sig: i32) {
-        // Both operations are single atomic RMW/stores — async-signal-safe.
-        super::SIGNAL_COUNT.fetch_add(1, Ordering::SeqCst);
+        // A single atomic store — async-signal-safe.
         super::CANCEL_REQUESTED.store(true, Ordering::SeqCst);
     }
 
@@ -110,19 +94,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn flag_latches_counts_and_resets() {
+    fn flag_latches_and_resets() {
         reset_for_test();
         assert!(!cancel_requested());
-        assert_eq!(signal_count(), 0);
         request_cancel();
         assert!(cancel_requested());
-        assert_eq!(signal_count(), 1);
         request_cancel();
         assert!(cancel_requested(), "latching is idempotent");
-        assert_eq!(signal_count(), 2, "each delivery is counted");
         reset_for_test();
         assert!(!cancel_requested());
-        assert_eq!(signal_count(), 0);
     }
 
     #[cfg(unix)]

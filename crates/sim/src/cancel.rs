@@ -73,12 +73,6 @@ struct Inner {
     watches: Mutex<Vec<Watch>>,
     next_id: AtomicU64,
     shutdown: AtomicBool,
-    /// How many process signals latch the global token. Sweep binaries use
-    /// 1 (first Ctrl-C cancels everything); the `save-serve` daemon uses 2
-    /// so the *first* signal only stops admission (graceful drain, exit 0)
-    /// while the *second* force-cancels in-flight cells (exit 130,
-    /// resumable journal).
-    bridge_at: u32,
 }
 
 impl Inner {
@@ -86,7 +80,7 @@ impl Inner {
     /// per-cell tokens whose deadline has passed (or everything, on a
     /// global cancel). Returns whether the global token is latched.
     fn tick(&self, now: Instant) -> bool {
-        if save_signal::signal_count() >= self.bridge_at {
+        if save_signal::cancel_requested() {
             self.global.cancel();
         }
         let global = self.global.is_cancelled();
@@ -125,15 +119,6 @@ impl Supervisor {
     /// library tests usually do not, to avoid hijacking the test runner's
     /// Ctrl-C).
     pub fn start(install_signal_handlers: bool) -> Self {
-        Self::start_with_bridge(install_signal_handlers, 1)
-    }
-
-    /// [`Supervisor::start`] with an explicit signal-bridge threshold: the
-    /// global token latches once `save_signal::signal_count()` reaches
-    /// `bridge_at`. Sweep binaries use 1 (the default); a draining daemon
-    /// uses 2 so the first SIGINT/SIGTERM only stops admission while the
-    /// second forces cancellation of in-flight cells.
-    pub fn start_with_bridge(install_signal_handlers: bool, bridge_at: u32) -> Self {
         if install_signal_handlers {
             save_signal::install();
         }
@@ -142,7 +127,6 @@ impl Supervisor {
             watches: Mutex::new(Vec::new()),
             next_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            bridge_at: bridge_at.max(1),
         });
         let worker = Arc::clone(&inner);
         let thread = thread::Builder::new()

@@ -276,13 +276,6 @@ impl Checkpoint {
         self.done.get(&cell)
     }
 
-    /// All journaled records (resume-loaded plus this run's), keyed by
-    /// cell index. The `save-serve` result cache seeds its memo table from
-    /// this map when the daemon restarts over an existing cache directory.
-    pub fn done_map(&self) -> &HashMap<u64, CellRecord> {
-        &self.done
-    }
-
     /// Number of cells loaded from a prior run's journal at open time.
     pub fn resumed_cells(&self) -> usize {
         self.resumed_cells

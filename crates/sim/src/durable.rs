@@ -37,9 +37,9 @@ pub const EXIT_USAGE: u8 = 2;
 /// "re-submit with --resume" from "inspect the failure report".
 pub const EXIT_CANCELLED: u8 = 130;
 
-/// The one exit-code mapping every binary (all 17 bench bins via
-/// `save_bench::run_main`, the `save-serve` daemon, the `surface` fsck
-/// subcommand) funnels through: cancellation outranks failures because a
+/// The one exit-code mapping every binary (all bench bins via
+/// `save_bench::run_main`, including the `surface` fsck subcommand)
+/// funnels through: cancellation outranks failures because a
 /// cancelled run is *resumable*, not broken — a scheduler that sees 130
 /// should resubmit with `--resume`, while 1 means "inspect the failure
 /// report". Usage errors short-circuit to [`EXIT_USAGE`] before any sweep

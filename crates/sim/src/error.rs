@@ -84,27 +84,12 @@ pub enum SimError {
         /// The deadline that was exceeded, in milliseconds.
         millis: u64,
     },
-    /// The `save-serve` daemon refused to admit a job because its bounded
-    /// queues are full (admission control / backpressure). The client
-    /// should retry after `retry_after_ms` instead of queueing unboundedly.
-    Overloaded {
-        /// What was rejected (job name / cell count).
-        what: String,
-        /// Suggested client backoff before resubmitting, in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// A malformed or unexpected message on the `save-serve` wire protocol
-    /// (bad JSON, wrong response type, version mismatch). Retrying the
-    /// same bytes reproduces the same rejection.
+    /// A cell's spec or functional trace is unusable: the spec (or its
+    /// workload) fails to serialize for its content key, or a recorded
+    /// trace is empty or has a different core count than the machine
+    /// replaying it. Retrying the same cell reproduces the same error.
     Protocol {
         /// Description of the violation.
-        what: String,
-    },
-    /// A `save-serve` worker died (crashed / was killed) while this cell
-    /// was in flight; the cell is journaled as failed-retryable and
-    /// requeued to a fresh worker.
-    WorkerLost {
-        /// The cell that was in flight on the lost worker.
         what: String,
     },
 }
@@ -136,9 +121,7 @@ impl SimError {
             SimError::Io { .. } => "io",
             SimError::Cancelled { .. } => "cancelled",
             SimError::DeadlineExceeded { .. } => "deadline",
-            SimError::Overloaded { .. } => "overloaded",
             SimError::Protocol { .. } => "protocol",
-            SimError::WorkerLost { .. } => "worker-lost",
         }
     }
 
@@ -158,11 +141,8 @@ impl SimError {
     /// * Host-side failures ([`SimError::WorkerPanic`], [`SimError::Io`],
     ///   [`SimError::DeadlineExceeded`]) are [`RetryClass::Transient`]:
     ///   they can come from resource pressure on the machine, not the model.
-    /// * Service-side conditions: [`SimError::Overloaded`] and
-    ///   [`SimError::WorkerLost`] are [`RetryClass::Transient`] (the queue
-    ///   drains, a fresh worker is respawned), while [`SimError::Protocol`]
-    ///   is [`RetryClass::Permanent`] (resending the same malformed message
-    ///   reproduces the same rejection).
+    /// * [`SimError::Protocol`] is [`RetryClass::Permanent`]: a spec that
+    ///   does not serialize or a trace that does not fit stays that way.
     pub fn retry_class(&self) -> RetryClass {
         match self {
             SimError::VerifyMismatch { .. } => RetryClass::Permanent,
@@ -173,30 +153,8 @@ impl SimError {
             SimError::Io { .. } => RetryClass::Transient,
             SimError::DeadlineExceeded { .. } => RetryClass::Transient,
             SimError::Cancelled { .. } => RetryClass::Cancelled,
-            SimError::Overloaded { .. } => RetryClass::Transient,
             SimError::Protocol { .. } => RetryClass::Permanent,
-            SimError::WorkerLost { .. } => RetryClass::Transient,
         }
-    }
-
-    /// [`SimError::retry_class`] looked up from a journaled `kind()` tag.
-    ///
-    /// Journals and caches persist only the tag, not the full error; the
-    /// `save-serve` result cache uses this to decide whether a journaled
-    /// failure is final (permanent: serve it from cache) or worth
-    /// recomputing on the next request (transient: the crash/overload that
-    /// produced it may not recur). Returns `None` for unknown tags, which
-    /// callers should treat as transient — recomputing is always safe.
-    pub fn retry_class_of_kind(kind: &str) -> Option<RetryClass> {
-        Some(match kind {
-            "verify-mismatch" | "invariant-violation" | "invalid-config" | "protocol" => {
-                RetryClass::Permanent
-            }
-            "cycle-budget" | "worker-panic" | "io" | "deadline" | "overloaded"
-            | "worker-lost" => RetryClass::Transient,
-            "cancelled" => RetryClass::Cancelled,
-            _ => return None,
-        })
     }
 }
 
@@ -233,13 +191,7 @@ impl std::fmt::Display for SimError {
             SimError::DeadlineExceeded { what, millis } => {
                 write!(f, "deadline exceeded ({millis} ms): {what}")
             }
-            SimError::Overloaded { what, retry_after_ms } => {
-                write!(f, "service overloaded (retry after {retry_after_ms} ms): {what}")
-            }
             SimError::Protocol { what } => write!(f, "protocol error: {what}"),
-            SimError::WorkerLost { what } => {
-                write!(f, "worker lost with cell in flight: {what}")
-            }
         }
     }
 }
@@ -324,9 +276,7 @@ mod tests {
             SimError::Io { what: "disk full".into() },
             SimError::Cancelled { what: "cell (0.5, 0.5)".into() },
             SimError::DeadlineExceeded { what: "cell (0.5, 0.5)".into(), millis: 250 },
-            SimError::Overloaded { what: "job fig14 (96 cells)".into(), retry_after_ms: 250 },
-            SimError::Protocol { what: "expected Submit, got garbage".into() },
-            SimError::WorkerLost { what: "cell(a=0.50,b=0.50)".into() },
+            SimError::Protocol { what: "empty kernel trace".into() },
         ]
     }
 
@@ -343,9 +293,7 @@ mod tests {
             ("io", RetryClass::Transient),
             ("cancelled", RetryClass::Cancelled),
             ("deadline", RetryClass::Transient),
-            ("overloaded", RetryClass::Transient),
             ("protocol", RetryClass::Permanent),
-            ("worker-lost", RetryClass::Transient),
         ];
         let samples = one_of_each();
         assert_eq!(
@@ -372,33 +320,11 @@ mod tests {
         assert!(d.to_string().contains("1500 ms"), "{d}");
     }
 
-    /// The kind-tag lookup table must agree with the value-level
-    /// classification for every variant — journaled failures are classified
-    /// by tag alone, so a divergence would make the service cache treat a
-    /// permanent failure as recomputable (or worse, the reverse).
     #[test]
-    fn kind_table_agrees_with_value_classification() {
-        for e in one_of_each() {
-            assert_eq!(
-                SimError::retry_class_of_kind(e.kind()),
-                Some(e.retry_class()),
-                "kind table diverges for {:?}",
-                e.kind()
-            );
-        }
-        assert_eq!(SimError::retry_class_of_kind("no-such-kind"), None);
-    }
-
-    #[test]
-    fn service_variants_display() {
-        let o = SimError::Overloaded { what: "fig14".into(), retry_after_ms: 120 };
-        assert_eq!(o.kind(), "overloaded");
-        assert!(o.to_string().contains("120 ms"), "{o}");
-        let p = SimError::Protocol { what: "bad line".into() };
+    fn protocol_variant_displays() {
+        let p = SimError::Protocol { what: "empty kernel trace".into() };
         assert_eq!(p.kind(), "protocol");
-        let w = SimError::WorkerLost { what: "cell 3".into() };
-        assert_eq!(w.kind(), "worker-lost");
-        assert!(w.to_string().contains("cell 3"));
+        assert!(p.to_string().contains("empty kernel trace"), "{p}");
     }
 
     #[test]

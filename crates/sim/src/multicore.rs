@@ -18,7 +18,7 @@
 
 use crate::cancel::CancelToken;
 use crate::error::SimError;
-use crate::runner::{warm_regions, ConfigKind, KernelResult, KernelRun, MachineConfig};
+use crate::runner::{warm_regions, KernelResult, KernelRun, MachineConfig};
 use crate::trace::{CoreTrace, KernelTrace, TraceMode};
 use save_core::{Core, CoreConfig, RunOutcome};
 use save_isa::Memory;
@@ -26,8 +26,10 @@ use save_kernels::BuiltKernel;
 use save_mem::{CoreMemory, Uncore, UncoreAccess};
 use std::sync::Arc;
 
-/// Runs `w` on every core of a detailed machine; returns the slowest core's
-/// result (with its stats).
+/// Runs `w` on every core of a detailed machine under an arbitrary core
+/// configuration; returns the slowest core's result (with its stats). The
+/// optional cancel token's flag is shared by every simulated core, so one
+/// latch stops the whole machine within a cancel quantum.
 ///
 /// # Errors
 /// [`SimError::InvalidConfig`] for a rejected operating point,
@@ -36,45 +38,7 @@ use std::sync::Arc;
 /// [`SimError::InvariantViolation`] (tagged with the offending core) if a
 /// core's sanitizer aborted the run, and [`SimError::CycleBudgetExceeded`]
 /// with the first stalled core's diagnosis if any core fails to drain.
-pub fn run_multicore(
-    w: &save_kernels::GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_multicore_custom_cancel(w, &kind.core_config(), machine, seed, verify, None)
-}
-
-/// [`run_multicore`] with an optional cooperative cancel token: the token's
-/// flag is shared by every simulated core, so one latch stops the whole
-/// machine within a cancel quantum.
-pub fn run_multicore_cancel(
-    w: &save_kernels::GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    run_multicore_custom_cancel(w, &kind.core_config(), machine, seed, verify, cancel)
-}
-
-/// Like [`run_multicore`] but with an arbitrary core configuration — the
-/// detailed-mode counterpart of [`crate::runner::run_kernel_custom`].
-pub fn run_multicore_custom(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_multicore_custom_cancel(w, core_cfg, machine, seed, verify, None)
-}
-
-/// [`run_multicore_custom`] with an optional cooperative cancel token (see
-/// [`run_multicore_cancel`]).
-pub fn run_multicore_custom_cancel(
+pub(crate) fn run_multicore_custom_cancel(
     w: &save_kernels::GemmWorkload,
     core_cfg: &CoreConfig,
     machine: &MachineConfig,
@@ -461,7 +425,7 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_kernel, MachineMode};
+    use crate::runner::{run_kernel, ConfigKind, MachineMode};
     use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 
     fn tiny() -> GemmWorkload {

@@ -168,8 +168,8 @@ pub fn warm_regions(
 /// Runs `w` on the machine at the given operating point.
 ///
 /// In [`MachineMode::Symmetric`] one core is simulated against its share of
-/// the uncore; in [`MachineMode::Detailed`] this delegates to
-/// [`crate::multicore::run_multicore`] and reports the slowest core.
+/// the uncore; in [`MachineMode::Detailed`] this delegates to the
+/// [`crate::multicore`] engines and reports the slowest core.
 ///
 /// # Errors
 /// * [`SimError::InvalidConfig`] if the operating point fails validation;
@@ -203,14 +203,7 @@ pub fn run_kernel_cancel(
     verify: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<KernelResult, SimError> {
-    match machine.mode {
-        MachineMode::Detailed => {
-            crate::multicore::run_multicore_cancel(w, kind, machine, seed, verify, cancel)
-        }
-        MachineMode::Symmetric => {
-            run_kernel_custom_cancel(w, &kind.core_config(), machine, seed, verify, cancel)
-        }
-    }
+    run_kernel_custom_cancel(w, &kind.core_config(), machine, seed, verify, cancel)
 }
 
 /// [`run_kernel_cancel`] that additionally returns the uncore contention

@@ -1,20 +1,18 @@
-//! Self-contained cell specifications — the unit of remote work.
+//! Self-contained cell specifications — the identity of one sweep cell.
 //!
 //! A [`CellSpec`] captures *everything* that determines one simulation
 //! cell's result: the workload (shape + sparsity + sparsity seed baked
 //! into [`GemmWorkload`]), the core operating point, the machine/memory
 //! configuration, the RNG seed, and whether numerical verification runs.
 //! Because the simulator is deterministic (DESIGN.md §1), two executions
-//! of the same spec — on different machines, in different processes, at
-//! different times — produce bit-identical seconds. That determinism is
-//! what makes the `save-serve` daemon's memo cache sound: results are
-//! keyed by [`CellSpec::cache_key`], a content hash over the spec's
-//! canonical JSON encoding, so a cache hit *is* a re-execution as far as
-//! the numbers are concerned.
+//! of the same spec — in different processes, at different times —
+//! produce bit-identical seconds. That determinism is what makes the
+//! [`TraceStore`] result memo sound: results are keyed by
+//! [`CellSpec::cache_key`], a content hash over the spec's JSON encoding,
+//! so a memo hit *is* a re-execution as far as the numbers are concerned.
 //!
 //! The bench binaries build specs with [`crate::surface::Surface::point_seed`]
-//! so a sweep submitted to a daemon reproduces `sweep_durable`'s bits
-//! exactly (the acceptance criterion for this subsystem).
+//! so a batch of spec cells reproduces `sweep_durable`'s bits exactly.
 
 use crate::cancel::CancelToken;
 use crate::checkpoint::fnv1a;
@@ -79,12 +77,6 @@ impl CellSpec {
             seed,
             verify: false,
         }
-    }
-
-    /// The spec's canonical JSON encoding — also the wire format.
-    pub fn canonical_json(&self) -> Result<String, SimError> {
-        serde_json::to_string(self)
-            .map_err(|e| SimError::Protocol { what: format!("serialize cell spec: {e}") })
     }
 
     /// Content address of the cell's *functional* work: everything shared
@@ -241,15 +233,14 @@ mod tests {
             MachineConfig::default(),
             3,
         );
-        let wire = spec.canonical_json().unwrap();
-        let back: CellSpec = serde_json::from_str(&wire).unwrap();
+        let json = serde_json::to_string(&spec).unwrap();
+        let back: CellSpec = serde_json::from_str(&json).unwrap();
         assert_eq!(spec.cache_key().unwrap(), back.cache_key().unwrap());
     }
 
     /// The bit-identity contract: a spec built with [`Surface::point_seed`]
-    /// reproduces the exact bits a local [`Surface::sweep`] records for the
-    /// same grid point — this is what lets a daemon-side cache substitute
-    /// for local execution.
+    /// reproduces the exact bits a [`Surface::sweep`] records for the same
+    /// grid point — this is what lets a spec batch stand in for a sweep.
     #[test]
     fn spec_execution_matches_local_sweep_bits() {
         let w = tiny();
@@ -263,11 +254,11 @@ mod tests {
             MachineConfig::default(),
             Surface::point_seed(a, b),
         );
-        let remote = spec.run(None).unwrap();
+        let run = spec.run(None).unwrap();
         assert_eq!(
-            remote.seconds.to_bits(),
+            run.seconds.to_bits(),
             surf.secs[0].to_bits(),
-            "remote execution must be bit-identical to the local sweep"
+            "spec execution must be bit-identical to the sweep"
         );
     }
 }

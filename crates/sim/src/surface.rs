@@ -179,9 +179,9 @@ impl Surface {
     /// The deterministic per-point seed shared by [`Surface::sweep`] and
     /// [`Surface::sweep_durable`]: tied to the sparsity point so repeated
     /// (and resumed) sweeps are deterministic while points stay
-    /// independent. Public so `save-serve` clients can build
-    /// [`crate::spec::CellSpec`]s whose remote results are bit-identical
-    /// to a local sweep of the same grid.
+    /// independent. Public so callers can build
+    /// [`crate::spec::CellSpec`]s whose results are bit-identical to a
+    /// sweep of the same grid.
     pub fn point_seed(a: f64, b: f64) -> u64 {
         ((a * 1000.0) as u64) << 20 | ((b * 1000.0) as u64) << 4
     }

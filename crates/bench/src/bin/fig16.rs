@@ -112,12 +112,12 @@ fn body(
         set.iter().filter(|k| k.is_lstm).count());
 
     // Build the whole sweep as one batched cell list, kernel-major so the
-    // cells sharing a functional trace (one kernel x corner across the
-    // baseline and both VPU panels) are adjacent — the trace store is
+    // cells sharing a built kernel (one kernel x corner across the
+    // baseline and both VPU panels) are adjacent — the store is
     // FIFO-bounded. The baseline cell's label is shared across the 2-VPU
     // and 1-VPU panels (it appears once in the batch), so each baseline is
     // computed exactly once: restored from the checkpoint journal or run
-    // once through the trace store.
+    // once through the store.
     let mut cells: Vec<(String, CellSpec)> = Vec::new();
     for prec in [Precision::F32, Precision::Mixed] {
         for k in &set {

@@ -459,9 +459,10 @@ impl SweepSession {
     /// Resolves a batch of self-describing `(label, spec)` cells through
     /// [`SweepSession::seconds`] and returns their seconds in submission
     /// order. Journaled cells are restored without running; the rest share
-    /// one bounded [`TraceStore`], so each distinct functional key is
-    /// executed once and every other cell replays its trace or is answered
-    /// from the full-result memo, bit-identically (DESIGN.md §5h).
+    /// one bounded [`TraceStore`], so each distinct functional key is built
+    /// once, every other cell with that key reuses the built kernel, and
+    /// repeated cells are answered from the full-result memo,
+    /// bit-identically (DESIGN.md §5h).
     pub fn spec_seconds_batch(&mut self, cells: &[(String, CellSpec)]) -> Vec<f64> {
         let store = TraceStore::with_capacity(8);
         cells

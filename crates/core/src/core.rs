@@ -12,7 +12,6 @@ use crate::diag::{StallCause, StallDiag};
 use crate::fault::{self, FaultKind, FaultPlan};
 use crate::lsu::{LoadEvent, Lsu};
 use crate::mgu;
-use crate::replay::{FuncTrace, Recorder};
 use crate::sanitizer::{Sanitizer, SanitizerReport};
 use crate::rename::{PhysRegFile, RenameTable, ALL_LANES};
 use crate::rob::{Rob, RobKind};
@@ -107,13 +106,6 @@ pub struct Core {
     san: Option<Box<Sanitizer>>,
     fault_pending: Option<FaultPlan>,
     model_fault: Option<SanitizerReport>,
-    // Functional-trace record/replay (see `crate::replay`). Allocation
-    // sequence counters index the trace: the k-th allocated FMA/load is the
-    // same static operation under every timing configuration.
-    fma_seq: u64,
-    load_seq: u64,
-    rec: Option<Box<Recorder>>,
-    rep: Option<Arc<FuncTrace>>,
     // ROB ids of VFMAs still awaiting ELM generation, allocation (=
     // program) order. `run_mgus` walks this instead of the whole station;
     // a reorder fault falls back to the full scan (see `Rs::order_intact`).
@@ -182,10 +174,6 @@ impl Core {
             // only, so it requires checking to be enabled.
             fault_pending: if cfg.sanitize.enabled() { cfg.fault } else { None },
             model_fault: None,
-            fma_seq: 0,
-            load_seq: 0,
-            rec: None,
-            rep: None,
             elm_queue: Vec::new(),
             elm_scratch: Vec::new(),
             debug_idle: std::env::var_os("SAVE_DEBUG_IDLE").is_some(),
@@ -261,28 +249,6 @@ impl Core {
         self.tracer = Some(t);
     }
 
-    /// Arms functional-trace recording (see [`crate::replay`]). Recording
-    /// only copies out facts the run computes anyway, so a recording run's
-    /// timing, statistics and outputs are bit-identical to a plain run.
-    pub fn set_record(&mut self) {
-        self.rec = Some(Box::new(Recorder::new()));
-    }
-
-    /// Finalizes and returns the trace recorded since [`Core::set_record`];
-    /// `None` when recording was never armed. Check
-    /// [`FuncTrace::replayable`] before reusing the result.
-    pub fn take_trace(&mut self) -> Option<FuncTrace> {
-        self.rec.take().map(|r| r.finalize())
-    }
-
-    /// Attaches a functional trace for replay: loads deliver zero with
-    /// their recorded class, MGUs serve recorded masks, and schedulers
-    /// elide value math — cycles, [`CoreStats`] and scheduling decisions
-    /// are bit-identical to direct execution of the recorded program.
-    pub fn set_replay(&mut self, t: Arc<FuncTrace>) {
-        self.rep = Some(t);
-    }
-
     fn trace(&mut self, ev: TraceEvent) {
         if let Some(t) = self.tracer.as_mut() {
             t.event(&ev);
@@ -339,10 +305,9 @@ impl Core {
         self.run_mut(program, mem, cmem, uncore)
     }
 
-    /// In-place variant of [`Core::run`] for callers that need the core
-    /// after the run (e.g. to [`Core::take_trace`] a recorded trace). The
-    /// core is spent once the outcome returns — further steps report the
-    /// finished outcome.
+    /// In-place variant of [`Core::run`] for callers that keep the core
+    /// after the run. The core is spent once the outcome returns — further
+    /// steps report the finished outcome.
     pub fn run_mut(
         &mut self,
         program: &Program,
@@ -517,8 +482,6 @@ impl Core {
                 cycle,
                 &mut self.stats,
                 &mut stores_done,
-                self.rec.as_deref_mut(),
-                self.rep.as_deref(),
             );
             for r in stores_done.drain(..) {
                 if !self.rob.mark_done(r) {
@@ -581,8 +544,6 @@ impl Core {
                 &mut self.stats,
                 &mut self.sx,
                 &mut ops,
-                self.rec.as_deref_mut(),
-                self.rep.is_some(),
             );
             if let Some(plan) = issue_fault {
                 if fault::apply_issue_fault(plan, &mut ops, &rots) {
@@ -710,20 +671,12 @@ impl Core {
                         cycle,
                     );
                     // B$ freshness: audit one entry per scan, round-robin.
-                    // Under replay the functional arena is empty, so the
-                    // expected masks come from the trace (the recorder
-                    // poisons any trace whose line masks went stale).
                     if let Some(n) = cmem.bcast_entries() {
                         if n > 0 {
                             let idx = s.next_bcast_idx(n);
-                            let stale = match self.rep.as_deref() {
-                                Some(t) => cmem.audit_bcast_entry(idx, |line| {
-                                    t.bcast_lines.get(&line).copied().unwrap_or(0)
-                                }),
-                                None => cmem.audit_bcast_entry(idx, |line| {
-                                    crate::lsu::line_zero_mask(mem, line * save_mem::LINE_BYTES)
-                                }),
-                            };
+                            let stale = cmem.audit_bcast_entry(idx, |line| {
+                                crate::lsu::line_zero_mask(mem, line * save_mem::LINE_BYTES)
+                            });
                             if let Some((line, stored, actual)) = stale {
                                 s.report_bcast_stale(cycle, line, stored, actual);
                             }
@@ -836,9 +789,7 @@ impl Core {
     /// may retry every cycle), a commit limit is active (the precise-state
     /// harness inspects the core at an exact µop boundary), or a tracer is
     /// attached (skipped cycles would be invisible to it, truncating the
-    /// event stream). Trace *recording* is unaffected: every recorded fact
-    /// comes from MGU/LSU/issue activity, which never occurs in an inert
-    /// cycle, so a recording run fast-forwards exactly like a plain one.
+    /// event stream).
     fn ff_allowed(&self) -> bool {
         self.cfg.fast_forward
             && self.cfg.fault.is_none()
@@ -1187,40 +1138,18 @@ impl Core {
             if !self.prf.fully_ready(f.a) || !self.prf.fully_ready(f.b) {
                 return MguTry::NotReady;
             }
-            if let Some(t) = self.rep.as_deref() {
-                // Replay: operand values are all zero, so the masks must
-                // come from the trace — they are what drives coalescing,
-                // BS skipping and pass-through, and serving them keeps
-                // every downstream decision bit-identical to the
-                // recorded run. Readiness gating above is unchanged, so
-                // mask *generation timing* is identical too.
-                let r = t.fma.get(f.seq as usize).copied().unwrap_or(crate::replay::FmaRec {
-                    elm: 0,
-                    ml: 0,
-                });
-                f.elm = r.elm;
-                f.orig_elm = r.elm;
-                if f.precision == FmaPrecision::Bf16 {
-                    f.ml = r.ml;
-                    f.orig_ml = r.ml;
+            match f.precision {
+                FmaPrecision::F32 => {
+                    let elm = mgu::elm_f32(self.prf.value(f.a), self.prf.value(f.b), f.wm);
+                    f.elm = elm;
+                    f.orig_elm = elm;
                 }
-            } else {
-                match f.precision {
-                    FmaPrecision::F32 => {
-                        let elm = mgu::elm_f32(self.prf.value(f.a), self.prf.value(f.b), f.wm);
-                        f.elm = elm;
-                        f.orig_elm = elm;
-                    }
-                    FmaPrecision::Bf16 => {
-                        let (ml, al) = mgu::elm_mp(self.prf.value(f.a), self.prf.value(f.b));
-                        f.ml = ml;
-                        f.orig_ml = ml;
-                        f.elm = al;
-                        f.orig_elm = al;
-                    }
-                }
-                if let Some(r) = self.rec.as_deref_mut() {
-                    r.record_fma(f.seq, f.orig_elm, f.orig_ml);
+                FmaPrecision::Bf16 => {
+                    let (ml, al) = mgu::elm_mp(self.prf.value(f.a), self.prf.value(f.b));
+                    f.ml = ml;
+                    f.orig_ml = ml;
+                    f.elm = al;
+                    f.orig_elm = al;
                 }
             }
             f.elm_ready = true;
@@ -1306,15 +1235,12 @@ impl Core {
                     dst.map(|r| (r, p)),
                 );
                 self.last_alloc_rob = rob;
-                let seq = self.load_seq;
-                self.load_seq += 1;
                 self.rs.push(RsEntry::Load(crate::rs::LoadEntry {
                     rob,
                     dst: p,
                     addr,
                     value_addr,
                     kind,
-                    seq,
                 }));
             }
             Uop::Store { src, addr } => {
@@ -1391,11 +1317,8 @@ impl Core {
                 self.fma_producer[acc.index()] = Some(rob);
                 self.stats.fma_uops += 1;
                 self.stats.lanes_total += LANES as u64;
-                let seq = self.fma_seq;
-                self.fma_seq += 1;
                 let entry = FmaEntry {
                     rob,
-                    seq,
                     precision,
                     acc_log: acc,
                     rot,

@@ -34,7 +34,6 @@ pub mod fault;
 pub mod lsu;
 pub mod mgu;
 pub mod rename;
-pub mod replay;
 pub mod rob;
 pub mod rs;
 pub mod sanitizer;
@@ -48,7 +47,6 @@ pub use crate::core::{Core, RunOutcome, CANCEL_QUANTUM};
 pub use config::{CoreConfig, SanitizeLevel, SchedulerKind};
 pub use diag::{StallCause, StallDiag};
 pub use fault::{FaultKind, FaultPlan};
-pub use replay::{FmaRec, FuncTrace, LoadRec, Recorder};
 pub use sanitizer::{Sanitizer, SanitizerReport};
 pub use stats::CoreStats;
 pub use trace::{CountingTracer, TextTracer, TraceEvent, Tracer};

@@ -9,7 +9,6 @@
 //! not overlap within a run, but the guard keeps the model honest).
 
 use crate::rename::PhysRegFile;
-use crate::replay::{FuncTrace, Recorder};
 use crate::rs::{Rs, RsEntry};
 use crate::stats::CoreStats;
 use crate::uop::{LoadKind, PhysId, RobId};
@@ -49,7 +48,7 @@ pub struct LoadEvent {
 /// [`Lsu::issue_cycle_bounded`], applied after the scan.
 #[derive(Clone, Copy, Debug)]
 enum Action {
-    Load { rob: RobId, dst: PhysId, addr: u64, value_addr: u64, kind: LoadKind, seq: u64 },
+    Load { rob: RobId, dst: PhysId, addr: u64, value_addr: u64, kind: LoadKind },
     Store { rob: RobId, src: PhysId, addr: u64 },
 }
 
@@ -143,8 +142,6 @@ impl Lsu {
             cycle,
             stats,
             &mut stores_done,
-            None,
-            None,
         );
         stores_done
     }
@@ -154,12 +151,6 @@ impl Lsu {
     /// cycle are appended to `stores_done` (cleared first); decision and
     /// removal scratch lives in the LSU, so a steady-state cycle allocates
     /// nothing.
-    ///
-    /// `rec` arms functional-trace recording: load classifications are
-    /// copied out without perturbing the run. `rep` replays a trace: loads
-    /// deliver [`VecF32::ZERO`] with their recorded class and functional
-    /// memory is never touched (replay runs against an empty arena); all
-    /// port, buffer and timing decisions are unchanged.
     #[allow(clippy::too_many_arguments)]
     pub fn issue_cycle_bounded(
         &mut self,
@@ -175,8 +166,6 @@ impl Lsu {
         cycle: u64,
         stats: &mut CoreStats,
         stores_done: &mut Vec<RobId>,
-        mut rec: Option<&mut Recorder>,
-        rep: Option<&FuncTrace>,
     ) {
         stores_done.clear();
         // Fast path: nothing for the LSU. Common in compute-bound stretches
@@ -235,7 +224,6 @@ impl Lsu {
                         addr: l.addr,
                         value_addr: l.value_addr,
                         kind: l.kind,
-                        seq: l.seq,
                     });
                 }
                 RsEntry::Store(s) => {
@@ -251,44 +239,16 @@ impl Lsu {
 
         for act in actions.drain(..) {
             match act {
-                Action::Load { rob, dst, addr, value_addr, kind, seq } => {
-                    let (value, class) = if let Some(t) = rep {
-                        // Replay: the functional value is always zero (the
-                        // replay invariant) and the timing-relevant class
-                        // comes from the trace by allocation sequence.
-                        let class = match kind {
-                            LoadKind::Vector => LoadClass::Vector,
-                            LoadKind::Broadcast => {
-                                stats.bcast_loads += 1;
-                                let (elem_zero, mask) = t
-                                    .load
-                                    .get(seq as usize)
-                                    .and_then(|l| l.bcast)
-                                    .unwrap_or((false, 0));
-                                LoadClass::Broadcast { elem_zero, line_zero_mask: mask }
-                            }
-                        };
-                        (VecF32::ZERO, class)
-                    } else {
-                        match kind {
-                            LoadKind::Vector => {
-                                if let Some(r) = rec.as_deref_mut() {
-                                    r.record_load(seq, None);
-                                }
-                                (mem.read_vec_f32(value_addr), LoadClass::Vector)
-                            }
-                            LoadKind::Broadcast => {
-                                let value = mem.read_bcast_f32(value_addr);
-                                let line_base = value_addr & !(save_mem::LINE_BYTES - 1);
-                                let mask = line_zero_mask(mem, line_base);
-                                stats.bcast_loads += 1;
-                                let elem_zero = value.lane(0) == 0.0;
-                                if let Some(r) = rec.as_deref_mut() {
-                                    r.record_load(seq, Some((elem_zero, mask)));
-                                    r.record_bcast_line(save_mem::line_of(value_addr), mask);
-                                }
-                                (value, LoadClass::Broadcast { elem_zero, line_zero_mask: mask })
-                            }
+                Action::Load { rob, dst, addr, value_addr, kind } => {
+                    let (value, class) = match kind {
+                        LoadKind::Vector => (mem.read_vec_f32(value_addr), LoadClass::Vector),
+                        LoadKind::Broadcast => {
+                            let value = mem.read_bcast_f32(value_addr);
+                            let line_base = value_addr & !(save_mem::LINE_BYTES - 1);
+                            let mask = line_zero_mask(mem, line_base);
+                            stats.bcast_loads += 1;
+                            let elem_zero = value.lane(0) == 0.0;
+                            (value, LoadClass::Broadcast { elem_zero, line_zero_mask: mask })
                         }
                     };
                     let r = cmem.load(uncore, addr, now_ns, class);
@@ -301,12 +261,7 @@ impl Lsu {
                     issued.push(rob);
                 }
                 Action::Store { rob, src, addr } => {
-                    if rep.is_none() {
-                        mem.write_vec_f32(addr, *prf.value(src));
-                        if let Some(r) = rec.as_deref_mut() {
-                            r.note_store(addr);
-                        }
-                    }
+                    mem.write_vec_f32(addr, *prf.value(src));
                     cmem.store(uncore, addr, now_ns);
                     self.pending_stores.retain(|&(r, _)| r != rob);
                     stats.stores_issued += 1;
@@ -360,7 +315,6 @@ mod tests {
                 addr: i as u64 * 64,
                 value_addr: i as u64 * 64,
                 kind: LoadKind::Vector,
-                seq: i as u64,
             }));
         }
         lsu.issue_cycle(&mut rs, &prf, &mut mem, &mut cmem, &mut unc, 2, 1, 1.7, 0, &mut stats);
@@ -386,7 +340,6 @@ mod tests {
             addr: 16,
             value_addr: 16,
             kind: LoadKind::Vector,
-            seq: 0,
         }));
         lsu.issue_cycle(&mut rs, &prf, &mut mem, &mut cmem, &mut unc, 2, 1, 1.7, 0, &mut stats);
         assert_eq!(stats.loads_issued, 0, "load must wait behind the pending store");
@@ -414,7 +367,6 @@ mod tests {
                 addr: i as u64 * 1024, // distinct lines: long DRAM latencies
                 value_addr: i as u64 * 1024,
                 kind: LoadKind::Vector,
-                seq: i as u64,
             }));
         }
         // Buffer of 3: only 3 loads may be in flight even over many cycles.
@@ -422,7 +374,7 @@ mod tests {
         for cyc in 0..3 {
             lsu.issue_cycle_bounded(
                 &mut rs, &prf, &mut mem, &mut cmem, &mut unc, 2, 3, 1, 1.7, cyc, &mut stats,
-                &mut stores_done, None, None,
+                &mut stores_done,
             );
             assert!(lsu.in_flight() <= 3, "cycle {cyc}: {} in flight", lsu.in_flight());
         }
@@ -431,7 +383,7 @@ mod tests {
         lsu.drain_completed(1_000_000);
         lsu.issue_cycle_bounded(
             &mut rs, &prf, &mut mem, &mut cmem, &mut unc, 2, 3, 1, 1.7, 1_000_001, &mut stats,
-            &mut stores_done, None, None,
+            &mut stores_done,
         );
         assert_eq!(stats.loads_issued, 5);
     }
@@ -448,7 +400,6 @@ mod tests {
             addr: 8,
             value_addr: 8,
             kind: LoadKind::Broadcast,
-            seq: 0,
         }));
         lsu.issue_cycle(&mut rs, &prf, &mut mem, &mut cmem, &mut unc, 2, 1, 1.7, 0, &mut stats);
         let evs = lsu.drain_completed(10_000);

@@ -60,10 +60,6 @@ pub struct FmaEntry {
     pub fwd_base: [f32; LANES],
     /// Cycle from which the forwarded partial is usable; [`NO_FWD`] if none.
     pub fwd_ready: [u64; LANES],
-    /// FMA allocation sequence number — the functional-trace index (see
-    /// [`crate::replay`]): the k-th allocated VFMA is the same static
-    /// operation under every timing configuration.
-    pub seq: u64,
 }
 
 impl FmaEntry {
@@ -113,8 +109,6 @@ pub struct LoadEntry {
     pub value_addr: u64,
     /// Vector or broadcast.
     pub kind: LoadKind,
-    /// Load allocation sequence number — the functional-trace index.
-    pub seq: u64,
 }
 
 /// A store waiting in the RS (waits for its data register).
@@ -375,7 +369,6 @@ mod tests {
             chain_succ: None,
             fwd_base: [0.0; LANES],
             fwd_ready: [NO_FWD; LANES],
-            seq: rob as u64,
         }
     }
 
@@ -460,7 +453,6 @@ mod tests {
             addr: 0,
             value_addr: 0,
             kind: crate::uop::LoadKind::Vector,
-            seq: 0,
         }));
         rs.push(RsEntry::Fma(fma(2, 0)));
         rs.push(RsEntry::Store(crate::rs::StoreEntry { rob: 3, src: 0, addr: 64 }));
@@ -479,7 +471,6 @@ mod tests {
             addr: 128,
             value_addr: 128,
             kind: crate::uop::LoadKind::Broadcast,
-            seq: 1,
         }));
         let mem_robs: Vec<_> = rs.mem_iter().map(|e| e.rob()).collect();
         assert_eq!(mem_robs, vec![3, 4]);

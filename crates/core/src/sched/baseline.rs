@@ -2,9 +2,7 @@
 //! awareness. This is the paper's baseline machine (2 VPUs at 1.7 GHz).
 
 use crate::config::CoreConfig;
-use crate::mgu;
 use crate::rename::PhysRegFile;
-use crate::replay::Recorder;
 use crate::rs::{Rs, RsEntry};
 use crate::sched::SelectScratch;
 use crate::stats::CoreStats;
@@ -13,13 +11,6 @@ use crate::vpu::{LaneResult, VpuOp};
 use save_isa::LANES;
 
 /// Issues up to one full VFMA per VPU per cycle.
-///
-/// The baseline never runs the MGUs, so under trace recording (`rec`) it
-/// computes each VFMA's would-be ELM here, at issue time — operands are
-/// proven ready, and functional values are program-order-deterministic, so
-/// the mask equals what a SAVE configuration's MGU would generate for the
-/// same allocation sequence. The computation feeds only the recorder; the
-/// run itself is untouched.
 #[allow(clippy::too_many_arguments)]
 pub fn select(
     rs: &mut Rs,
@@ -29,8 +20,6 @@ pub fn select(
     stats: &mut CoreStats,
     sx: &mut SelectScratch,
     out: &mut Vec<VpuOp>,
-    mut rec: Option<&mut Recorder>,
-    elide: bool,
 ) {
     sx.issued.clear();
     for e in rs.iter() {
@@ -44,25 +33,11 @@ pub fn select(
         if !(prf.fully_ready(f.a) && prf.fully_ready(f.b) && prf.fully_ready(f.acc_src)) {
             continue;
         }
-        if let Some(r) = rec.as_deref_mut() {
-            match f.precision {
-                FmaPrecision::F32 => {
-                    let elm = mgu::elm_f32(prf.value(f.a), prf.value(f.b), f.wm);
-                    r.record_fma(f.seq, elm, 0);
-                }
-                FmaPrecision::Bf16 => {
-                    let (ml, al) = mgu::elm_mp(prf.value(f.a), prf.value(f.b));
-                    r.record_fma(f.seq, al, ml);
-                }
-            }
-        }
         let mut results = sx.lease();
         let latency = match f.precision {
             FmaPrecision::F32 => {
                 for lane in 0..LANES {
-                    let value = if elide {
-                        0.0
-                    } else if f.wm >> lane & 1 == 1 {
+                    let value = if f.wm >> lane & 1 == 1 {
                         super::lane_value_f32(f, prf, lane)
                     } else {
                         prf.value(f.acc_src).lane(lane)
@@ -73,12 +48,8 @@ pub fn select(
             }
             FmaPrecision::Bf16 => {
                 for al in 0..LANES {
-                    let value = if elide {
-                        0.0
-                    } else {
-                        let base = prf.value(f.acc_src).lane(al);
-                        super::al_value_mp(f, prf, al, 0b11, base)
-                    };
+                    let base = prf.value(f.acc_src).lane(al);
+                    let value = super::al_value_mp(f, prf, al, 0b11, base);
                     results.push(LaneResult { rob: f.rob, dst: f.acc_dst, lane: al, value });
                 }
                 cfg.mp_fma_cycles

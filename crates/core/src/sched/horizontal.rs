@@ -16,9 +16,7 @@ use crate::uop::FmaPrecision;
 use crate::vpu::{LaneResult, VpuOp};
 use save_isa::LANES;
 
-/// Runs one cycle of horizontal compression. `elide` (trace replay)
-/// collapses lane values to `+0.0` — bit-identical under the replay
-/// invariant — while packing, mask consumption and statistics run unchanged.
+/// Runs one cycle of horizontal compression.
 #[allow(clippy::too_many_arguments)]
 pub fn select(
     rs: &mut Rs,
@@ -28,7 +26,6 @@ pub fn select(
     stats: &mut CoreStats,
     sx: &mut SelectScratch,
     out: &mut Vec<VpuOp>,
-    elide: bool,
 ) {
     let precision = match super::oldest_window_precision(rs, prf) {
         Some(p) => p,
@@ -63,21 +60,11 @@ pub fn select(
             let lane = mask.trailing_zeros() as usize;
             mask &= !(1 << lane);
             let value = match precision {
-                FmaPrecision::F32 => {
-                    if elide {
-                        0.0
-                    } else {
-                        super::lane_value_f32(f, prf, lane)
-                    }
-                }
+                FmaPrecision::F32 => super::lane_value_f32(f, prf, lane),
                 FmaPrecision::Bf16 => {
                     let bits = f.ml_bits_at(lane);
-                    let v = if elide {
-                        0.0
-                    } else {
-                        let base = prf.value(f.acc_src).lane(lane);
-                        super::al_value_mp(f, prf, lane, bits, base)
-                    };
+                    let base = prf.value(f.acc_src).lane(lane);
+                    let v = super::al_value_mp(f, prf, lane, bits, base);
                     f.ml &= !(0b11 << (2 * lane));
                     stats.mp_mls_issued += bits.count_ones() as u64;
                     v

@@ -35,10 +35,6 @@ fn as_fma(e: &RsEntry) -> Option<&FmaEntry> {
 }
 
 /// Runs one cycle of mixed-precision selection with ML compression.
-/// `elide` (trace replay) collapses the chained MAC math to `+0.0` —
-/// bit-identical under the replay invariant, since bases and forwarded
-/// partials are all `+0.0` there — while every gating, bit-clearing and
-/// forwarding decision runs unchanged.
 #[allow(clippy::too_many_arguments)]
 pub fn select(
     rs: &mut Rs,
@@ -48,7 +44,6 @@ pub fn select(
     stats: &mut CoreStats,
     sx: &mut SelectScratch,
     out: &mut Vec<VpuOp>,
-    elide: bool,
 ) {
     let nv = cfg.num_vpus;
     let latency = cfg.mp_fma_cycles;
@@ -153,7 +148,7 @@ pub fn select(
                     RsEntry::Fma(f) => f,
                     _ => unreachable!(),
                 };
-                cum = if elide { 0.0 } else { super::al_value_mp(f, prf, l, take, cum) };
+                cum = super::al_value_mp(f, prf, l, take, cum);
                 f.ml &= !(take << (2 * l));
                 stats.mp_mls_issued += take.count_ones() as u64;
                 if f.ml_bits_at(l) == 0 {

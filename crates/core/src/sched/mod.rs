@@ -22,7 +22,6 @@ pub mod vertical;
 
 use crate::config::{CoreConfig, SchedulerKind};
 use crate::rename::PhysRegFile;
-use crate::replay::Recorder;
 use crate::rs::{FmaEntry, Rs, RsEntry};
 use crate::stats::CoreStats;
 use crate::uop::{FmaPrecision, RobId};
@@ -100,14 +99,6 @@ pub fn window_masks(rs: &Rs, prf: &PhysRegFile, lane_wise: bool, sx: &mut Select
 /// Runs the configured select logic for one cycle, appending the issued ops
 /// to `out` (cleared first). Non-baseline schedulers read the scoreboard
 /// refreshed by [`window_masks`] this cycle.
-///
-/// `rec` arms functional-trace recording (only the baseline scheduler
-/// records anything here — it generates ELMs at issue since it never runs
-/// the MGUs). `elide` is set under trace replay: lane value math collapses
-/// to literal `+0.0`, which is bit-identical to computing it because every
-/// physical-register value is `+0.0` under the replay invariant (see
-/// [`crate::replay`]); all masks, latencies and statistics are untouched.
-#[allow(clippy::too_many_arguments)]
 pub fn select(
     rs: &mut Rs,
     prf: &PhysRegFile,
@@ -116,23 +107,21 @@ pub fn select(
     stats: &mut CoreStats,
     sx: &mut SelectScratch,
     out: &mut Vec<VpuOp>,
-    rec: Option<&mut Recorder>,
-    elide: bool,
 ) {
     out.clear();
     match cfg.scheduler {
-        SchedulerKind::Baseline => baseline::select(rs, prf, cfg, cycle, stats, sx, out, rec, elide),
+        SchedulerKind::Baseline => baseline::select(rs, prf, cfg, cycle, stats, sx, out),
         SchedulerKind::Vertical => {
             // A cycle's temps are homogeneous in precision; follow the
             // oldest entry that is in the combination window.
             match oldest_window_precision(rs, prf) {
                 Some(FmaPrecision::Bf16) if cfg.mp_compress => {
-                    mixed::select(rs, prf, cfg, cycle, stats, sx, out, elide)
+                    mixed::select(rs, prf, cfg, cycle, stats, sx, out)
                 }
-                _ => vertical::select(rs, prf, cfg, cycle, stats, sx, out, elide),
+                _ => vertical::select(rs, prf, cfg, cycle, stats, sx, out),
             }
         }
-        SchedulerKind::Horizontal => horizontal::select(rs, prf, cfg, cycle, stats, sx, out, elide),
+        SchedulerKind::Horizontal => horizontal::select(rs, prf, cfg, cycle, stats, sx, out),
     }
 }
 

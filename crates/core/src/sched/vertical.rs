@@ -21,9 +21,7 @@ use crate::uop::FmaPrecision;
 use crate::vpu::{LaneResult, VpuOp};
 use save_isa::LANES;
 
-/// Runs one cycle of vertical coalescing. `elide` (trace replay) collapses
-/// lane values to `+0.0` — bit-identical under the replay invariant — while
-/// mask consumption, latencies and statistics stay untouched.
+/// Runs one cycle of vertical coalescing.
 #[allow(clippy::too_many_arguments)]
 pub fn select(
     rs: &mut Rs,
@@ -33,7 +31,6 @@ pub fn select(
     stats: &mut CoreStats,
     sx: &mut SelectScratch,
     out: &mut Vec<VpuOp>,
-    elide: bool,
 ) {
     // Candidates: the window scoreboard filtered to the cycle's precision,
     // oldest-first, masks consumed in place as lanes are assigned.
@@ -100,21 +97,11 @@ pub fn select(
                 _ => unreachable!(),
             };
             let value = match precision {
-                FmaPrecision::F32 => {
-                    if elide {
-                        0.0
-                    } else {
-                        super::lane_value_f32(f, prf, lane)
-                    }
-                }
+                FmaPrecision::F32 => super::lane_value_f32(f, prf, lane),
                 FmaPrecision::Bf16 => {
                     let bits = f.ml_bits_at(lane);
-                    let val = if elide {
-                        0.0
-                    } else {
-                        let base = prf.value(f.acc_src).lane(lane);
-                        super::al_value_mp(f, prf, lane, bits, base)
-                    };
+                    let base = prf.value(f.acc_src).lane(lane);
+                    let val = super::al_value_mp(f, prf, lane, bits, base);
                     f.ml &= !(0b11 << (2 * lane));
                     stats.mp_mls_issued += bits.count_ones() as u64;
                     val

@@ -49,7 +49,6 @@ fn add_fma(s: &mut Setup, rob: usize, acc_log: u8, rot: i8, elm: u16) -> u32 {
         chain_succ: None,
         fwd_base: [0.0; LANES],
         fwd_ready: [NO_FWD; LANES],
-        seq: rob as u64,
     }));
     acc_dst
 }
@@ -66,7 +65,7 @@ fn select_vertical(
     let mut sx = sched::SelectScratch::new();
     sched::window_masks(rs, prf, cfg.lane_wise, &mut sx);
     let mut out = Vec::new();
-    sched::vertical::select(rs, prf, cfg, cycle, stats, &mut sx, &mut out, false);
+    sched::vertical::select(rs, prf, cfg, cycle, stats, &mut sx, &mut out);
     out
 }
 
@@ -80,7 +79,7 @@ fn select_horizontal(
     let mut sx = sched::SelectScratch::new();
     sched::window_masks(rs, prf, cfg.lane_wise, &mut sx);
     let mut out = Vec::new();
-    sched::horizontal::select(rs, prf, cfg, cycle, stats, &mut sx, &mut out, false);
+    sched::horizontal::select(rs, prf, cfg, cycle, stats, &mut sx, &mut out);
     out
 }
 
@@ -174,7 +173,6 @@ fn fig8_lane_wise_dependence_unblocks_false_dependences() {
         chain_succ: None,
         fwd_base: [0.0; LANES],
         fwd_ready: [NO_FWD; LANES],
-        seq: 2,
     }));
     let mut stats = CoreStats::default();
 

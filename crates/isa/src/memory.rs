@@ -21,7 +21,7 @@ use crate::{Bf16, VecBf16, VecF32, LANES, ML_LANES};
 /// let v = mem.read_vec_f32(0);
 /// assert_eq!(v.lane(4), 2.5);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Memory {
     data: Vec<u8>,
     next_alloc: u64,

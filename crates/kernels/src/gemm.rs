@@ -607,8 +607,17 @@ impl BuiltKernel {
     /// # Errors
     /// Returns the first mismatching index and the two values.
     pub fn verify(&self) -> Result<(), (usize, f32, f32)> {
+        self.verify_in(&self.mem)
+    }
+
+    /// Verifies the C region of `mem` — a run's own copy of this kernel's
+    /// functional memory — against the reference.
+    ///
+    /// # Errors
+    /// Returns the first mismatching index and the two values.
+    pub fn verify_in(&self, mem: &Memory) -> Result<(), (usize, f32, f32)> {
         for (i, &e) in self.expected.iter().enumerate() {
-            let got = self.mem.read_f32(self.c_base + 4 * i as u64);
+            let got = mem.read_f32(self.c_base + 4 * i as u64);
             if got != e && !(got.is_nan() && e.is_nan()) {
                 return Err((i, got, e));
             }

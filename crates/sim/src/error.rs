@@ -84,12 +84,20 @@ pub enum SimError {
         /// The deadline that was exceeded, in milliseconds.
         millis: u64,
     },
-    /// A cell's spec or functional trace is unusable: the spec (or its
-    /// workload) fails to serialize for its content key, or a recorded
-    /// trace is empty or has a different core count than the machine
-    /// replaying it. Retrying the same cell reproduces the same error.
+    /// A cell's spec is unusable: the spec (or its workload) fails to
+    /// serialize for its content key. Retrying the same cell reproduces
+    /// the same error.
     Protocol {
         /// Description of the violation.
+        what: String,
+    },
+    /// A measurement missed its gate: a throughput floor, a regression
+    /// bound, or a purity check comparing two runs of deterministic
+    /// simulations. Re-running the same measurement cannot turn a purity
+    /// mismatch into a match, and a floor miss is a verdict to report, not
+    /// a fault to retry.
+    GateMiss {
+        /// Which gate missed, with the measured and required values.
         what: String,
     },
 }
@@ -122,6 +130,7 @@ impl SimError {
             SimError::Cancelled { .. } => "cancelled",
             SimError::DeadlineExceeded { .. } => "deadline",
             SimError::Protocol { .. } => "protocol",
+            SimError::GateMiss { .. } => "gate",
         }
     }
 
@@ -142,7 +151,9 @@ impl SimError {
     ///   [`SimError::DeadlineExceeded`]) are [`RetryClass::Transient`]:
     ///   they can come from resource pressure on the machine, not the model.
     /// * [`SimError::Protocol`] is [`RetryClass::Permanent`]: a spec that
-    ///   does not serialize or a trace that does not fit stays that way.
+    ///   does not serialize stays that way.
+    /// * [`SimError::GateMiss`] is [`RetryClass::Permanent`]: it is the
+    ///   verdict of a completed measurement.
     pub fn retry_class(&self) -> RetryClass {
         match self {
             SimError::VerifyMismatch { .. } => RetryClass::Permanent,
@@ -154,6 +165,7 @@ impl SimError {
             SimError::DeadlineExceeded { .. } => RetryClass::Transient,
             SimError::Cancelled { .. } => RetryClass::Cancelled,
             SimError::Protocol { .. } => RetryClass::Permanent,
+            SimError::GateMiss { .. } => RetryClass::Permanent,
         }
     }
 }
@@ -192,6 +204,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "deadline exceeded ({millis} ms): {what}")
             }
             SimError::Protocol { what } => write!(f, "protocol error: {what}"),
+            SimError::GateMiss { what } => write!(f, "gate missed: {what}"),
         }
     }
 }
@@ -276,7 +289,8 @@ mod tests {
             SimError::Io { what: "disk full".into() },
             SimError::Cancelled { what: "cell (0.5, 0.5)".into() },
             SimError::DeadlineExceeded { what: "cell (0.5, 0.5)".into(), millis: 250 },
-            SimError::Protocol { what: "empty kernel trace".into() },
+            SimError::Protocol { what: "serialize workload".into() },
+            SimError::GateMiss { what: "speedup 1.1x below the 2.0x floor".into() },
         ]
     }
 
@@ -294,6 +308,7 @@ mod tests {
             ("cancelled", RetryClass::Cancelled),
             ("deadline", RetryClass::Transient),
             ("protocol", RetryClass::Permanent),
+            ("gate", RetryClass::Permanent),
         ];
         let samples = one_of_each();
         assert_eq!(
@@ -321,10 +336,13 @@ mod tests {
     }
 
     #[test]
-    fn protocol_variant_displays() {
-        let p = SimError::Protocol { what: "empty kernel trace".into() };
+    fn protocol_and_gate_variants_display() {
+        let p = SimError::Protocol { what: "serialize workload".into() };
         assert_eq!(p.kind(), "protocol");
-        assert!(p.to_string().contains("empty kernel trace"), "{p}");
+        assert!(p.to_string().contains("serialize workload"), "{p}");
+        let g = SimError::GateMiss { what: "speedup 1.1x below the 2.0x floor".into() };
+        assert_eq!(g.kind(), "gate");
+        assert!(g.to_string().contains("2.0x floor"), "{g}");
     }
 
     #[test]

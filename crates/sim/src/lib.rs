@@ -61,8 +61,8 @@ pub use parallel::{
 pub use policy::{PolicyOutcome, VpuPolicy};
 pub use power::{EnergyBreakdown, PowerModel};
 pub use runner::{
-    run_kernel_custom_traced, run_kernel_full, run_kernel_traced, ConfigKind, KernelResult,
-    KernelRun, MachineConfig, MachineMode, MulticoreConfig,
+    run_kernel_full, ConfigKind, KernelResult, KernelRun, MachineConfig, MachineMode,
+    MulticoreConfig,
 };
 pub use surface::{DurableSweep, Surface, SweepOutcome};
-pub use trace::{trace_key, CoreTrace, KernelTrace, TraceStore};
+pub use trace::{trace_key, TraceStore};

@@ -19,12 +19,9 @@
 use crate::cancel::CancelToken;
 use crate::error::SimError;
 use crate::runner::{warm_regions, KernelResult, KernelRun, MachineConfig};
-use crate::trace::{CoreTrace, KernelTrace, TraceMode};
 use save_core::{Core, CoreConfig, RunOutcome};
-use save_isa::Memory;
 use save_kernels::BuiltKernel;
 use save_mem::{CoreMemory, Uncore, UncoreAccess};
-use std::sync::Arc;
 
 /// Runs `w` on every core of a detailed machine under an arbitrary core
 /// configuration; returns the slowest core's result (with its stats). The
@@ -46,77 +43,26 @@ pub(crate) fn run_multicore_custom_cancel(
     verify: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<KernelResult, SimError> {
-    run_multicore_inner(w, core_cfg, machine, seed, verify, cancel, None).map(|r| r.result)
-}
-
-/// [`run_multicore_custom_cancel`] returning the full [`KernelRun`] with
-/// the uncore contention report.
-pub(crate) fn run_multicore_full(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelRun, SimError> {
-    run_multicore_inner(w, core_cfg, machine, seed, verify, cancel, None)
-}
-
-/// The traced counterpart of [`run_multicore_custom_cancel`]: records one
-/// [`save_core::FuncTrace`] per core (each core builds with its own data
-/// seed) or replays a previously recorded per-core set. See
-/// [`crate::runner::run_kernel_traced`] for the record/replay contract.
-pub(crate) fn run_multicore_traced(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-    mode: TraceMode<'_>,
-) -> Result<KernelResult, SimError> {
-    run_multicore_inner(w, core_cfg, machine, seed, verify, cancel, Some(mode)).map(|r| r.result)
-}
-
-/// What one core executes from: its own built kernel (direct and record
-/// modes) or its slice of a recorded trace plus an empty functional arena
-/// (replay never touches memory values).
-pub(crate) enum LaneExec {
-    /// A freshly built kernel with its functional arena.
-    Built(Box<BuiltKernel>),
-    /// A recorded trace (shared by all lanes; this lane reads
-    /// `trace.cores[idx]`).
-    Replay {
-        /// The whole-machine trace.
-        trace: Arc<KernelTrace>,
-        /// Empty functional arena (replay reads no memory values).
-        mem: Memory,
-    },
+    run_multicore_full(w, core_cfg, machine, seed, verify, cancel).map(|r| r.result)
 }
 
 /// One simulated core with everything it needs to run: the core, its
-/// private memory, its program/arena and (once done) its outcome. Both the
-/// lockstep and relaxed engines drive a `Vec<Lane>`.
+/// private memory, its own built kernel and (once done) its outcome. Both
+/// the lockstep and relaxed engines drive a `Vec<Lane>`.
 pub(crate) struct Lane {
     /// Core index == mesh tile index.
     pub(crate) idx: usize,
     pub(crate) core: Core,
     pub(crate) cmem: CoreMemory,
-    pub(crate) exec: LaneExec,
+    pub(crate) kernel: BuiltKernel,
     pub(crate) outcome: Option<RunOutcome>,
 }
 
 impl Lane {
     /// Advances the lane one cycle against `uncore` (lockstep engine).
     fn step(&mut self, uncore: &mut dyn UncoreAccess) -> Option<RunOutcome> {
-        match &mut self.exec {
-            LaneExec::Built(bk) => {
-                self.core.step(&bk.program, &mut bk.mem, &mut self.cmem, uncore)
-            }
-            LaneExec::Replay { trace, mem } => {
-                self.core.step(&trace.cores[self.idx].program, mem, &mut self.cmem, uncore)
-            }
-        }
+        let k = &mut self.kernel;
+        self.core.step(&k.program, &mut k.mem, &mut self.cmem, uncore)
     }
 
     /// Runs the lane until its local clock reaches `limit` (relaxed engine;
@@ -125,84 +71,31 @@ impl Lane {
         if self.outcome.is_some() {
             return;
         }
-        let res = match &mut self.exec {
-            LaneExec::Built(bk) => self.core.run_until_cycle(
-                limit,
-                &bk.program,
-                &mut bk.mem,
-                &mut self.cmem,
-                uncore,
-            ),
-            LaneExec::Replay { trace, mem } => self.core.run_until_cycle(
-                limit,
-                &trace.cores[self.idx].program,
-                mem,
-                &mut self.cmem,
-                uncore,
-            ),
-        };
-        self.outcome = res;
+        let k = &mut self.kernel;
+        self.outcome =
+            self.core.run_until_cycle(limit, &k.program, &mut k.mem, &mut self.cmem, uncore);
     }
 }
 
 /// Builds one lane per core: validates nothing (callers validate configs),
-/// builds/replays the per-core kernels and applies the §VI warm-up policy
-/// against the shared uncore in core order — identical for both engines, so
+/// builds the per-core kernels and applies the §VI warm-up policy against
+/// the shared uncore in core order — identical for both engines, so
 /// warm-up state never depends on the engine choice.
 fn setup_lanes(
     w: &save_kernels::GemmWorkload,
     cfg: CoreConfig,
     machine: &MachineConfig,
     seed: u64,
-    mode: &Option<TraceMode<'_>>,
     uncore: &mut Uncore,
-) -> Result<Vec<Lane>, SimError> {
-    let n = machine.cores.max(1);
-    let mut lanes = Vec::with_capacity(n);
-    match mode {
-        Some(TraceMode::Replay { trace }) => {
-            if trace.cores.len() != n {
-                return Err(SimError::Protocol {
-                    what: format!(
-                        "kernel trace has {} cores, machine has {n}",
-                        trace.cores.len()
-                    ),
-                });
-            }
-            for (c, tc) in trace.cores.iter().enumerate() {
-                let mut core = Core::new(cfg);
-                let mut cm = CoreMemory::new(c, machine.mem, cfg.freq_ghz);
-                warm_regions(w, &tc.regions, &mut cm, uncore);
-                core.set_replay(Arc::clone(&tc.func));
-                lanes.push(Lane {
-                    idx: c,
-                    core,
-                    cmem: cm,
-                    exec: LaneExec::Replay { trace: Arc::clone(trace), mem: Memory::new(0) },
-                    outcome: None,
-                });
-            }
-        }
-        other => {
-            for c in 0..n {
-                let built = w.build(seed.wrapping_add(c as u64));
-                let mut core = Core::new(cfg);
-                let mut cm = CoreMemory::new(c, machine.mem, cfg.freq_ghz);
-                warm_regions(w, &built.regions, &mut cm, uncore);
-                if matches!(other, Some(TraceMode::Record { .. })) {
-                    core.set_record();
-                }
-                lanes.push(Lane {
-                    idx: c,
-                    core,
-                    cmem: cm,
-                    exec: LaneExec::Built(Box::new(built)),
-                    outcome: None,
-                });
-            }
-        }
-    }
-    Ok(lanes)
+) -> Vec<Lane> {
+    (0..machine.cores.max(1))
+        .map(|c| {
+            let kernel = w.build(seed.wrapping_add(c as u64));
+            let mut cmem = CoreMemory::new(c, machine.mem, cfg.freq_ghz);
+            warm_regions(w, &kernel.regions, &mut cmem, uncore);
+            Lane { idx: c, core: Core::new(cfg), cmem, kernel, outcome: None }
+        })
+        .collect()
 }
 
 /// The serial lockstep engine: cores are interleaved cycle by cycle over
@@ -269,14 +162,15 @@ fn run_lockstep(lanes: &mut [Lane], uncore: &mut Uncore) {
     }
 }
 
-fn run_multicore_inner(
+/// [`run_multicore_custom_cancel`] returning the full [`KernelRun`] with
+/// the uncore contention report.
+pub(crate) fn run_multicore_full(
     w: &save_kernels::GemmWorkload,
     core_cfg: &CoreConfig,
     machine: &MachineConfig,
     seed: u64,
     verify: bool,
     cancel: Option<&CancelToken>,
-    mode: Option<TraceMode<'_>>,
 ) -> Result<KernelRun, SimError> {
     let cfg = *core_cfg;
     cfg.validate().map_err(|what| SimError::InvalidConfig { what })?;
@@ -284,7 +178,7 @@ fn run_multicore_inner(
     machine.mc.validate().map_err(|what| SimError::InvalidConfig { what })?;
     let n = machine.cores.max(1);
     let mut uncore = Uncore::new(&machine.mem, n);
-    let mut lanes = setup_lanes(w, cfg, machine, seed, &mode, &mut uncore)?;
+    let mut lanes = setup_lanes(w, cfg, machine, seed, &mut uncore);
     if let Some(tok) = cancel {
         for lane in &mut lanes {
             lane.core.set_cancel(tok.as_flag());
@@ -300,19 +194,18 @@ fn run_multicore_inner(
     } else {
         run_lockstep(&mut lanes, &mut uncore);
     }
-    finalize(w, cfg, lanes, &uncore, verify, mode)
+    finalize(w, cfg, &lanes, &uncore, verify)
 }
 
 /// Turns finished lanes into the run verdict: cancellation first, then
-/// per-core violations/stalls, then verification + trace admission, then
-/// the slowest core's timing. Shared by both engines.
+/// per-core violations/stalls, then verification, then the slowest core's
+/// timing. Shared by both engines.
 fn finalize(
     w: &save_kernels::GemmWorkload,
     cfg: CoreConfig,
-    lanes: Vec<Lane>,
+    lanes: &[Lane],
     uncore: &Uncore,
     verify: bool,
-    mode: Option<TraceMode<'_>>,
 ) -> Result<KernelRun, SimError> {
     // Cancellation outranks every other verdict: a machine whose cores were
     // told to stop produced no meaningful timing, and the caller needs the
@@ -323,7 +216,7 @@ fn finalize(
     // A core that aborted (sanitizer) or stalled (watchdog or budget)
     // poisons the whole run: the layer never finishes. Report the first
     // such core's evidence.
-    for lane in &lanes {
+    for lane in lanes {
         let o = lane.outcome.as_ref().expect("engine filled every outcome");
         if let Some(report) = &o.violation {
             return Err(SimError::InvariantViolation {
@@ -348,9 +241,9 @@ fn finalize(
             });
         }
     }
-    let check_lane = |lane: &Lane| -> Result<(), SimError> {
-        if let LaneExec::Built(b) = &lane.exec {
-            if let Err((i, got, want)) = b.verify() {
+    if verify {
+        for lane in lanes {
+            if let Err((i, got, want)) = lane.kernel.verify() {
                 return Err(SimError::VerifyMismatch {
                     kernel: w.name.clone(),
                     core: Some(lane.idx),
@@ -360,62 +253,19 @@ fn finalize(
                 });
             }
         }
-        Ok(())
-    };
+    }
     let slowest = lanes
         .iter()
         .filter_map(|l| l.outcome.as_ref())
         .max_by_key(|o| o.stats.cycles)
         .cloned()
         .expect("at least one core");
-    let verified = match &mode {
-        // A recording run always checks every core's output before the
-        // per-core traces are admitted as a set.
-        Some(TraceMode::Record { store, key }) => {
-            for lane in &lanes {
-                check_lane(lane)?;
-            }
-            let mut lanes = lanes;
-            let funcs: Vec<_> = lanes.iter_mut().map(|l| l.core.take_trace()).collect();
-            if funcs.iter().all(|f| f.as_ref().is_some_and(|t| t.replayable)) {
-                let per_core = lanes
-                    .into_iter()
-                    .zip(funcs)
-                    .map(|(lane, f)| {
-                        let LaneExec::Built(b) = lane.exec else {
-                            unreachable!("record implies built lanes");
-                        };
-                        let b = *b;
-                        CoreTrace {
-                            program: b.program,
-                            regions: b.regions,
-                            func: Arc::new(f.expect("all checked Some above")),
-                        }
-                    })
-                    .collect();
-                store.insert(*key, KernelTrace { cores: per_core });
-            }
-            verify
-        }
-        // Replay has no functional output; the trace verified at record.
-        Some(TraceMode::Replay { .. }) => verify,
-        None => {
-            if verify {
-                for lane in &lanes {
-                    check_lane(lane)?;
-                }
-                true
-            } else {
-                false
-            }
-        }
-    };
     Ok(KernelRun {
         result: KernelResult {
             seconds: cfg.cycles_to_seconds(slowest.stats.cycles),
             cycles: slowest.stats.cycles,
             stats: slowest.stats,
-            verified,
+            verified: verify,
             completed: slowest.completed,
         },
         uncore: uncore.report(),

@@ -2,13 +2,11 @@
 
 use crate::cancel::CancelToken;
 use crate::error::SimError;
-use crate::trace::{self, CoreTrace, KernelTrace, TraceMode, TraceStore};
 use save_core::{Core, CoreConfig, CoreStats, SchedulerKind};
 use save_isa::Memory;
 use save_kernels::{BuiltKernel, GemmWorkload, Region, RegionRole};
 use save_mem::{CoreMemory, MemConfig, Uncore, UncoreReport, WarmLevel};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How the multicore machine is modelled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -226,7 +224,7 @@ pub fn run_kernel_full(
             cancel,
         ),
         MachineMode::Symmetric => {
-            run_symmetric(w, &kind.core_config(), machine, seed, verify, cancel, None)
+            build_and_run_symmetric(w, &kind.core_config(), machine, seed, verify, cancel)
         }
     }
 }
@@ -259,77 +257,22 @@ pub fn run_kernel_custom_cancel(
             w, core_cfg, machine, seed, verify, cancel,
         );
     }
-    run_symmetric(w, core_cfg, machine, seed, verify, cancel, None).map(|r| r.result)
+    build_and_run_symmetric(w, core_cfg, machine, seed, verify, cancel).map(|r| r.result)
 }
 
-/// [`run_kernel_cancel`] with a [`TraceStore`]: the first cell to run for a
-/// given `(workload, machine shape, seed)` records a functional trace and
-/// files it under [`trace::trace_key`]; every later cell *replays* that
-/// trace — skipping codegen, operand generation and FMA arithmetic — and
-/// produces bit-identical seconds, cycles and [`CoreStats`] (the
-/// "execute once, time N" machinery of DESIGN.md §5h).
-///
-/// A recording run always checks the numerical output against the
-/// reference before the trace is admitted, so a simulator bug surfaces as
-/// [`SimError::VerifyMismatch`] on the *first* cell rather than being
-/// multiplied across the sweep. The reported `verified` flag still follows
-/// the `verify` argument, as in [`run_kernel`].
-pub fn run_kernel_traced(
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-    store: &TraceStore,
-) -> Result<KernelResult, SimError> {
-    run_kernel_custom_traced(w, &kind.core_config(), machine, seed, verify, cancel, store)
-}
-
-/// [`run_kernel_traced`] with an arbitrary core configuration — the traced
-/// counterpart of [`run_kernel_custom_cancel`].
-pub fn run_kernel_custom_traced(
+/// The symmetric-mode engine: one core runs `kernel`'s program against
+/// `mem` — the caller's copy of the kernel's functional memory, so a
+/// kernel cached in a [`crate::TraceStore`] stays pristine — under its
+/// 1/N share of the uncore. With `verify` set, the output in `mem` is
+/// checked against the kernel's reference.
+pub(crate) fn run_symmetric(
     w: &GemmWorkload,
     core_cfg: &CoreConfig,
     machine: &MachineConfig,
-    seed: u64,
+    kernel: &BuiltKernel,
+    mem: &mut Memory,
     verify: bool,
     cancel: Option<&CancelToken>,
-    store: &TraceStore,
-) -> Result<KernelResult, SimError> {
-    let key = trace::trace_key(w, machine, seed)?;
-    let mode = match store.get(key) {
-        Some(t) => TraceMode::Replay { trace: t },
-        None => TraceMode::Record { store, key },
-    };
-    match machine.mode {
-        MachineMode::Detailed => {
-            crate::multicore::run_multicore_traced(w, core_cfg, machine, seed, verify, cancel, mode)
-        }
-        MachineMode::Symmetric => {
-            run_symmetric(w, core_cfg, machine, seed, verify, cancel, Some(mode)).map(|r| r.result)
-        }
-    }
-}
-
-/// What a symmetric run executes from: a freshly built kernel (direct and
-/// record modes) or a recorded trace plus an empty functional arena
-/// (replay never touches memory values).
-enum Exec {
-    Built(Box<BuiltKernel>),
-    Replay { trace: Arc<KernelTrace>, mem: Memory },
-}
-
-/// The symmetric-mode engine behind [`run_kernel_custom_cancel`] and the
-/// traced entry points.
-fn run_symmetric(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-    mode: Option<TraceMode<'_>>,
 ) -> Result<KernelRun, SimError> {
     let cfg = *core_cfg;
     cfg.validate().map_err(|what| SimError::InvalidConfig { what })?;
@@ -341,30 +284,8 @@ fn run_symmetric(
     if let Some(tok) = cancel {
         core.set_cancel(tok.as_flag());
     }
-    let mut exec = match &mode {
-        Some(TraceMode::Replay { trace }) => {
-            let Some(ct) = trace.cores.first() else {
-                return Err(SimError::Protocol { what: "empty kernel trace".to_string() });
-            };
-            warm_regions(w, &ct.regions, &mut cmem, &mut uncore);
-            core.set_replay(Arc::clone(&ct.func));
-            Exec::Replay { trace: Arc::clone(trace), mem: Memory::new(0) }
-        }
-        other => {
-            let built = w.build(seed);
-            warm_regions(w, &built.regions, &mut cmem, &mut uncore);
-            if matches!(other, Some(TraceMode::Record { .. })) {
-                core.set_record();
-            }
-            Exec::Built(Box::new(built))
-        }
-    };
-    let out = match &mut exec {
-        Exec::Built(b) => core.run_mut(&b.program, &mut b.mem, &mut cmem, &mut uncore),
-        Exec::Replay { trace, mem } => {
-            core.run_mut(&trace.cores[0].program, mem, &mut cmem, &mut uncore)
-        }
-    };
+    warm_regions(w, &kernel.regions, &mut cmem, &mut uncore);
+    let out = core.run_mut(&kernel.program, mem, &mut cmem, &mut uncore);
     if let Some(report) = out.violation {
         return Err(SimError::InvariantViolation {
             kernel: w.name.clone(),
@@ -387,64 +308,42 @@ fn run_symmetric(
             diag: Box::new(diag),
         });
     }
-    let verified = match (&mode, exec) {
-        // A recording run is always checked against the reference before
-        // the trace is admitted (see `run_kernel_traced`).
-        (Some(TraceMode::Record { store, key }), Exec::Built(built)) => {
-            if let Err((i, got, want)) = built.verify() {
-                return Err(SimError::VerifyMismatch {
-                    kernel: w.name.clone(),
-                    core: None,
-                    index: i,
-                    got,
-                    want,
-                });
-            }
-            if let Some(func) = core.take_trace().filter(|t| t.replayable) {
-                let built = *built;
-                store.insert(
-                    *key,
-                    KernelTrace {
-                        cores: vec![CoreTrace {
-                            program: built.program,
-                            regions: built.regions,
-                            func: Arc::new(func),
-                        }],
-                    },
-                );
-            }
-            verify
+    if verify {
+        if let Err((i, got, want)) = kernel.verify_in(mem) {
+            return Err(SimError::VerifyMismatch {
+                kernel: w.name.clone(),
+                core: None,
+                index: i,
+                got,
+                want,
+            });
         }
-        // Replay has no functional output; the trace verified at record.
-        (Some(TraceMode::Replay { .. }), _) => verify,
-        (_, Exec::Built(built)) => {
-            if verify {
-                if let Err((i, got, want)) = built.verify() {
-                    return Err(SimError::VerifyMismatch {
-                        kernel: w.name.clone(),
-                        core: None,
-                        index: i,
-                        got,
-                        want,
-                    });
-                }
-                true
-            } else {
-                false
-            }
-        }
-        (_, Exec::Replay { .. }) => unreachable!("replay implies TraceMode::Replay"),
-    };
+    }
     Ok(KernelRun {
         result: KernelResult {
             seconds: cfg.cycles_to_seconds(out.stats.cycles),
             cycles: out.stats.cycles,
             stats: out.stats,
-            verified,
+            verified: verify,
             completed: out.completed,
         },
         uncore: uncore.report(),
     })
+}
+
+/// Builds `w` for `seed` and runs it on the symmetric machine (the kernel's
+/// own memory is the run's memory: nothing else will use it).
+fn build_and_run_symmetric(
+    w: &GemmWorkload,
+    core_cfg: &CoreConfig,
+    machine: &MachineConfig,
+    seed: u64,
+    verify: bool,
+    cancel: Option<&CancelToken>,
+) -> Result<KernelRun, SimError> {
+    let mut built = w.build(seed);
+    let mut mem = std::mem::take(&mut built.mem);
+    run_symmetric(w, core_cfg, machine, &built, &mut mem, verify, cancel)
 }
 
 /// Sanity helper used by tests: the scheduler kind of an operating point.

@@ -18,13 +18,13 @@ use crate::cancel::CancelToken;
 use crate::checkpoint::fnv1a;
 use crate::error::SimError;
 use crate::runner::{
-    run_kernel_cancel, run_kernel_custom_cancel, run_kernel_custom_traced, run_kernel_traced,
-    ConfigKind, KernelResult, MachineConfig,
+    run_kernel_custom_cancel, run_symmetric, ConfigKind, KernelResult, MachineConfig, MachineMode,
 };
 use crate::trace::TraceStore;
 use save_core::CoreConfig;
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which core configuration a cell runs under: one of the paper's three
 /// named operating points, or an arbitrary ablation configuration.
@@ -82,7 +82,7 @@ impl CellSpec {
     /// Content address of the cell's *functional* work: everything shared
     /// by all timing configurations of this cell — the workload, the
     /// machine shape (mode + core count) and the data seed. Cells with
-    /// equal trace keys share one recorded trace (see [`crate::trace`]).
+    /// equal trace keys share one built kernel (see [`crate::trace`]).
     pub fn trace_key(&self) -> Result<u64, SimError> {
         crate::trace::trace_key(&self.workload, &self.machine, self.seed)
     }
@@ -109,7 +109,7 @@ impl CellSpec {
     /// Two specs share a key iff every field that can influence the result
     /// is identical — the same contract as the original canonical-JSON
     /// hash, but split along the functional/timing line so that cells
-    /// sharing a trace visibly share the functional half of their key.
+    /// sharing a kernel visibly share the functional half of their key.
     pub fn cache_key(&self) -> Result<u64, SimError> {
         let mut bytes = [0u8; 16];
         bytes[..8].copy_from_slice(&self.trace_key()?.to_le_bytes());
@@ -117,36 +117,39 @@ impl CellSpec {
         Ok(fnv1a(&bytes))
     }
 
-    /// Executes the cell, honouring an optional cooperative cancel token.
-    pub fn run(&self, cancel: Option<&CancelToken>) -> Result<KernelResult, SimError> {
+    /// The core configuration the cell runs under.
+    fn core_config(&self) -> CoreConfig {
         match &self.core {
-            CoreSel::Kind { kind } => run_kernel_cancel(
-                &self.workload,
-                *kind,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-            ),
-            CoreSel::Custom { config } => run_kernel_custom_cancel(
-                &self.workload,
-                config,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-            ),
+            CoreSel::Kind { kind } => kind.core_config(),
+            CoreSel::Custom { config } => **config,
         }
     }
 
-    /// Executes the cell through a [`TraceStore`]: the first cell for a
-    /// given [`CellSpec::trace_key`] records a functional trace, later
-    /// cells replay it with bit-identical results (see
-    /// [`crate::runner::run_kernel_traced`]). Cells whose *full*
+    /// Executes the cell, honouring an optional cooperative cancel token.
+    pub fn run(&self, cancel: Option<&CancelToken>) -> Result<KernelResult, SimError> {
+        run_kernel_custom_cancel(
+            &self.workload,
+            &self.core_config(),
+            &self.machine,
+            self.seed,
+            self.verify,
+            cancel,
+        )
+    }
+
+    /// Executes the cell through a [`TraceStore`]. Cells whose full
     /// [`CellSpec::cache_key`] already ran through this store are served
     /// from its result memo without entering the core at all — the
     /// simulator is deterministic, so the memoized bits are the bits a
-    /// re-execution would produce.
+    /// re-execution would produce. Otherwise a symmetric-machine cell runs
+    /// the ordinary direct path on a copy of the kernel filed under its
+    /// [`CellSpec::trace_key`], building and admitting that kernel first
+    /// when the store has none. The admitting run always checks the
+    /// numerical output, so a simulator bug surfaces as
+    /// [`SimError::VerifyMismatch`] on the first cell rather than being
+    /// multiplied across the sweep; the reported `verified` flag still
+    /// follows [`CellSpec::verify`]. Detailed-machine cells use the memo
+    /// only.
     pub fn run_traced(
         &self,
         cancel: Option<&CancelToken>,
@@ -156,26 +159,32 @@ impl CellSpec {
         if let Some(memo) = store.result(cache_key) {
             return Ok(memo);
         }
-        let result = match &self.core {
-            CoreSel::Kind { kind } => run_kernel_traced(
-                &self.workload,
-                *kind,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-                store,
-            ),
-            CoreSel::Custom { config } => run_kernel_custom_traced(
-                &self.workload,
-                config,
-                &self.machine,
-                self.seed,
-                self.verify,
-                cancel,
-                store,
-            ),
-        }?;
+        let result = match self.machine.mode {
+            MachineMode::Detailed => self.run(cancel)?,
+            MachineMode::Symmetric => {
+                let key = self.trace_key()?;
+                let (kernel, admit) = match store.get(key) {
+                    Some(k) => (k, false),
+                    None => (Arc::new(self.workload.build(self.seed)), true),
+                };
+                let mut mem = kernel.mem.clone();
+                let mut r = run_symmetric(
+                    &self.workload,
+                    &self.core_config(),
+                    &self.machine,
+                    &kernel,
+                    &mut mem,
+                    self.verify || admit,
+                    cancel,
+                )?
+                .result;
+                if admit {
+                    r.verified = self.verify;
+                    store.insert(key, kernel);
+                }
+                r
+            }
+        };
         store.record_result(cache_key, result);
         Ok(result)
     }

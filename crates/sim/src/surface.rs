@@ -12,8 +12,7 @@ use crate::checkpoint::{CellRecord, Checkpoint, SweepManifest};
 use crate::durable::{run_cell, RetryPolicy};
 use crate::error::SimError;
 use crate::parallel::{parallel_try_map, parallel_try_map_cancel, FailureReport, JobFailure};
-use crate::runner::{run_kernel, run_kernel_cancel, run_kernel_traced, ConfigKind, MachineConfig};
-use crate::trace::TraceStore;
+use crate::runner::{run_kernel, run_kernel_cancel, ConfigKind, MachineConfig};
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -110,70 +109,6 @@ impl Surface {
         .into_iter()
         .collect::<Result<Vec<f64>, SimError>>()?;
         Ok(Surface { a_levels: a_levels.to_vec(), b_levels: b_levels.to_vec(), secs })
-    }
-
-    /// Sweeps the same grid under *several* operating points at once,
-    /// executing each grid point's functional work exactly once: the first
-    /// operating point to reach a point records its trace, the remaining
-    /// points replay it (DESIGN.md §5h, "execute once, time N"). Results
-    /// are bit-identical to running [`Surface::sweep`] once per kind —
-    /// that equivalence is a tier-1 test — but fig14/fig16-class sweeps
-    /// stop paying codegen, operand generation and FMA arithmetic `kinds`
-    /// times per point.
-    ///
-    /// Returns one [`Surface`] per entry of `kinds`, in order.
-    ///
-    /// # Errors
-    /// As [`Surface::sweep`]; additionally, because a recording run always
-    /// verifies the kernel's numerical output, a simulator bug surfaces
-    /// here as [`SimError::VerifyMismatch`] even though sweeps do not
-    /// request verification.
-    pub fn sweep_many(
-        w: &GemmWorkload,
-        kinds: &[ConfigKind],
-        machine: &MachineConfig,
-        a_levels: &[f64],
-        b_levels: &[f64],
-        threads: usize,
-    ) -> Result<Vec<Surface>, SimError> {
-        let points: Vec<(f64, f64)> = a_levels
-            .iter()
-            .flat_map(|&a| b_levels.iter().map(move |&b| (a, b)))
-            .collect();
-        // Parallelism is across grid points; within a point the kinds run
-        // sequentially through a point-local store (traces never cross
-        // points — each has its own sparsity and seed — so dropping the
-        // store per point keeps the sweep's memory footprint flat).
-        let per_point = parallel_try_map(&points, threads, 0, |&(a, b)| {
-            let wk = w.clone().with_sparsity(a, b);
-            let store = TraceStore::new();
-            kinds
-                .iter()
-                .map(|&kind| {
-                    Ok(run_kernel_traced(
-                        &wk,
-                        kind,
-                        machine,
-                        Self::point_seed(a, b),
-                        false,
-                        None,
-                        &store,
-                    )?
-                    .seconds)
-                })
-                .collect::<Result<Vec<f64>, SimError>>()
-        })
-        .into_iter()
-        .collect::<Result<Vec<Vec<f64>>, SimError>>()?;
-        Ok(kinds
-            .iter()
-            .enumerate()
-            .map(|(ki, _)| Surface {
-                a_levels: a_levels.to_vec(),
-                b_levels: b_levels.to_vec(),
-                secs: per_point.iter().map(|row| row[ki]).collect(),
-            })
-            .collect())
     }
 
     /// The deterministic per-point seed shared by [`Surface::sweep`] and

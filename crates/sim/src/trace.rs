@@ -1,68 +1,41 @@
-//! Reusable functional kernel traces — "execute once, time many"
+//! The in-process cell store: a full-result memo plus built-kernel reuse
 //! (DESIGN.md §5h).
 //!
-//! A [`KernelTrace`] captures everything *functional* about a kernel run:
-//! the generated instruction stream, the region map used for cache warm-up,
-//! and one [`save_core::FuncTrace`] per simulated core (per-VFMA effectual
-//! lane masks, per-load broadcast facts, per-line zero masks). Those facts
-//! are decided entirely by `(workload, seed)` — never by the timing
-//! configuration — so one trace recorded under any operating point can be
-//! *replayed* under every other, skipping codegen, operand generation and
-//! all FMA arithmetic while reproducing cycles and [`save_core::CoreStats`]
-//! bit-for-bit (the purity canary in `crates/sim/tests/replay_canary.rs`).
+//! A sweep submits many cells that share their functional work: the same
+//! workload, data seed and machine shape under several timing
+//! configurations (operating points, memory latencies). Building such a
+//! kernel — codegen, operand generation and the scalar reference output —
+//! depends only on `(workload, seed)`, so a [`TraceStore`] keeps each
+//! [`BuiltKernel`] under its [`trace_key`] and hands it to every later cell
+//! with that key. The cell clones the kernel's functional memory and runs
+//! the ordinary direct path on the copy: the MGU and LSU still compute
+//! every mask from real operand values, so a reused kernel is bit-identical
+//! to a fresh build by construction (pinned by
+//! `crates/sim/tests/store_canary.rs`).
 //!
-//! Traces are content-addressed by [`trace_key`]: an FNV-1a hash over the
-//! workload's canonical JSON, the machine *shape* (mode and core count —
-//! the parts that change how many functional cores exist), and the data
-//! seed. Timing-only knobs (core configuration, memory latencies, the
-//! verify flag) are deliberately excluded, which is exactly what lets N
-//! timing configurations share one recording. [`crate::CellSpec::cache_key`]
-//! splits along the same line: `hash(trace_key ‖ timing_key)`.
+//! [`trace_key`] is an FNV-1a hash over the workload's canonical JSON, the
+//! machine *shape* (mode and core count) and the data seed. Timing-only
+//! knobs (core configuration, memory latencies, the verify flag) are
+//! excluded, which is what lets N timing configurations share one kernel.
+//! [`crate::CellSpec::cache_key`] splits along the same line:
+//! `hash(trace_key ‖ timing_key)`.
 //!
-//! Recording is free of observer effects: the recorder hooks MGU, LSU and
-//! issue activity, none of which occurs in fast-forwarded inert cycles, so
-//! a recording run is bit-identical to a direct run and doubles as one of
-//! the timed cells ("record-and-use"). A recording run always verifies the
-//! kernel's numerical output against the reference before the trace is
-//! admitted to a [`TraceStore`] — a trace that will stand in for N runs
-//! must be known-good — and traces the recorder poisoned (e.g. a store
-//! overlapping a broadcast-cache line) are never stored, so those cells
-//! simply fall back to direct execution.
+//! The run that admits a kernel always verifies its output against the
+//! reference first — a kernel that will stand in for N builds must be
+//! known-good. Only symmetric-machine cells reuse kernels; detailed-mode
+//! cells build one kernel per core and use the result memo alone.
 
 use crate::error::SimError;
 use crate::runner::MachineConfig;
-use save_core::FuncTrace;
-use save_isa::Program;
-use save_kernels::{GemmWorkload, Region};
+use save_kernels::{BuiltKernel, GemmWorkload};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The functional record of one simulated core's kernel run.
-#[derive(Clone, Debug)]
-pub struct CoreTrace {
-    /// The generated instruction stream (replay skips codegen).
-    pub program: Program,
-    /// Region map for cache warm-up (replay skips operand generation, so
-    /// the warm-up policy runs from the recorded layout).
-    pub regions: Vec<Region>,
-    /// Per-VFMA and per-load functional facts served back during replay.
-    pub func: Arc<FuncTrace>,
-}
-
-/// A complete, verified functional trace of one kernel cell: one
-/// [`CoreTrace`] per simulated core (one in symmetric mode, N in detailed
-/// mode).
-#[derive(Clone, Debug)]
-pub struct KernelTrace {
-    /// Per-core traces, indexed by core id.
-    pub cores: Vec<CoreTrace>,
-}
-
 /// Content address of the functional work shared by every timing
 /// configuration of a cell: workload (shape, sparsity — but *not* the
 /// display name, which is a label rather than functional content, so two
-/// identically-shaped layers under different names share one trace),
+/// identically-shaped layers under different names share one kernel),
 /// machine *shape* (mode + core count), and data seed. Timing-only
 /// configuration — the core operating point, memory latencies, the verify
 /// flag — is excluded by design.
@@ -79,10 +52,10 @@ pub fn trace_key(w: &GemmWorkload, machine: &MachineConfig, seed: u64) -> Result
     Ok(crate::checkpoint::fnv1a(text.as_bytes()))
 }
 
-/// An in-memory, thread-safe store of recorded traces, keyed by
-/// [`trace_key`]. The first cell to run for a key records; every later
-/// cell replays. Lookups and hits are counted so sweeps can report their
-/// trace-reuse rate.
+/// An in-memory, thread-safe store of verified built kernels, keyed by
+/// [`trace_key`]. The first cell to run for a key builds and admits its
+/// kernel; every later cell reuses it. Lookups and hits are counted so
+/// sweeps can report their reuse rate.
 ///
 /// The store also memoizes *full cell results* by
 /// [`crate::CellSpec::cache_key`]: two cells with identical trace **and**
@@ -91,12 +64,12 @@ pub fn trace_key(w: &GemmWorkload, machine: &MachineConfig, seed: u64) -> Result
 /// all. (Sweeps such as `fig16` genuinely submit such duplicates — e.g.
 /// one shared baseline per VPU-count panel.)
 ///
-/// Traces can be large (one `FuncTrace` per core); an optional FIFO
+/// Kernels hold their operand memory and can be large; an optional FIFO
 /// capacity bounds how many are held at once. Result memos are a few
 /// machine words each and are never evicted.
 #[derive(Debug, Default)]
 pub struct TraceStore {
-    traces: Mutex<Traces>,
+    kernels: Mutex<Kernels>,
     results: Mutex<HashMap<u64, crate::runner::KernelResult>>,
     lookups: AtomicU64,
     hits: AtomicU64,
@@ -104,10 +77,10 @@ pub struct TraceStore {
     result_hits: AtomicU64,
 }
 
-/// Trace map plus FIFO admission order (capacity 0 = unbounded).
+/// Kernel map plus FIFO admission order (capacity 0 = unbounded).
 #[derive(Debug, Default)]
-struct Traces {
-    map: HashMap<u64, Arc<KernelTrace>>,
+struct Kernels {
+    map: HashMap<u64, Arc<BuiltKernel>>,
     order: std::collections::VecDeque<u64>,
     capacity: usize,
 }
@@ -118,34 +91,34 @@ impl TraceStore {
         Self::default()
     }
 
-    /// Creates an empty store holding at most `capacity` traces, evicting
-    /// the oldest recording first. Result memos are not bounded.
+    /// Creates an empty store holding at most `capacity` kernels, evicting
+    /// the oldest admission first. Result memos are not bounded.
     pub fn with_capacity(capacity: usize) -> Self {
         let s = Self::default();
-        s.traces.lock().expect("trace store poisoned").capacity = capacity;
+        s.kernels.lock().expect("trace store poisoned").capacity = capacity;
         s
     }
 
-    /// Fetches the trace for `key`, if one was recorded.
-    pub fn get(&self, key: u64) -> Option<Arc<KernelTrace>> {
+    /// Fetches the kernel filed under `key`, if one was admitted.
+    pub fn get(&self, key: u64) -> Option<Arc<BuiltKernel>> {
         self.lookups.fetch_add(1, Ordering::Relaxed);
-        let found = self.traces.lock().expect("trace store poisoned").map.get(&key).cloned();
+        let found = self.kernels.lock().expect("trace store poisoned").map.get(&key).cloned();
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
         }
         found
     }
 
-    /// Admits a recorded trace. The caller guarantees every per-core
-    /// [`FuncTrace`] is replayable and the run verified against the
+    /// Admits a built kernel. The caller guarantees its memory is pristine
+    /// (no run wrote into it) and that a run of it verified against the
     /// numerical reference.
-    pub fn insert(&self, key: u64, trace: KernelTrace) {
-        let mut t = self.traces.lock().expect("trace store poisoned");
-        if t.map.insert(key, Arc::new(trace)).is_none() {
-            t.order.push_back(key);
-            if t.capacity != 0 && t.order.len() > t.capacity {
-                if let Some(old) = t.order.pop_front() {
-                    t.map.remove(&old);
+    pub fn insert(&self, key: u64, kernel: Arc<BuiltKernel>) {
+        let mut k = self.kernels.lock().expect("trace store poisoned");
+        if k.map.insert(key, kernel).is_none() {
+            k.order.push_back(key);
+            if k.capacity != 0 && k.order.len() > k.capacity {
+                if let Some(old) = k.order.pop_front() {
+                    k.map.remove(&old);
                 }
             }
         }
@@ -173,7 +146,7 @@ impl TraceStore {
         self.lookups.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that found a trace.
+    /// Number of cells that reused a built kernel from the store.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -187,23 +160,6 @@ impl TraceStore {
     pub fn result_hits(&self) -> u64 {
         self.result_hits.load(Ordering::Relaxed)
     }
-}
-
-/// How a kernel run interacts with the trace machinery (crate-internal:
-/// the public entry points are `run_kernel_traced` and friends).
-pub(crate) enum TraceMode<'a> {
-    /// Record a functional trace and admit it to the store on success.
-    Record {
-        /// Destination store.
-        store: &'a TraceStore,
-        /// Content address to file the trace under.
-        key: u64,
-    },
-    /// Replay a previously recorded trace.
-    Replay {
-        /// The trace to serve functional facts from.
-        trace: Arc<KernelTrace>,
-    },
 }
 
 #[cfg(test)]
@@ -249,7 +205,7 @@ mod tests {
     #[test]
     fn trace_key_ignores_display_name() {
         // VGG16's conv3_2 and conv3_3 (and friends) are the same shape
-        // under different labels; they must share one trace.
+        // under different labels; they must share one kernel.
         let m = MachineConfig::default();
         let mut renamed = tiny();
         renamed.name = "a different label".into();
@@ -260,11 +216,15 @@ mod tests {
         );
     }
 
+    fn kernel() -> Arc<BuiltKernel> {
+        Arc::new(tiny().build(1))
+    }
+
     #[test]
     fn store_counts_lookups_and_hits() {
         let s = TraceStore::new();
         assert!(s.get(1).is_none());
-        s.insert(1, KernelTrace { cores: Vec::new() });
+        s.insert(1, kernel());
         assert!(s.get(1).is_some());
         assert!(s.get(2).is_none());
         assert_eq!(s.lookups(), 3);
@@ -275,15 +235,15 @@ mod tests {
     fn bounded_store_evicts_oldest_first() {
         let s = TraceStore::with_capacity(2);
         for k in 1..=3 {
-            s.insert(k, KernelTrace { cores: Vec::new() });
+            s.insert(k, kernel());
         }
-        assert!(s.get(1).is_none(), "oldest trace evicted at capacity");
+        assert!(s.get(1).is_none(), "oldest kernel evicted at capacity");
         assert!(s.get(2).is_some());
         assert!(s.get(3).is_some());
         // Re-inserting an existing key must not double-count it in the
-        // FIFO order (which would evict the wrong trace later).
-        s.insert(2, KernelTrace { cores: Vec::new() });
-        s.insert(4, KernelTrace { cores: Vec::new() });
+        // FIFO order (which would evict the wrong kernel later).
+        s.insert(2, kernel());
+        s.insert(4, kernel());
         assert!(s.get(2).is_none(), "2 was oldest after 1's eviction");
         assert!(s.get(3).is_some());
         assert!(s.get(4).is_some());

@@ -11,17 +11,16 @@
 //!    cycles and stats (deterministic barrier reconciliation).
 //! 3. **Bounded relaxation error** — large quanta may drift from lockstep
 //!    timing, but only within the in-quantum error band; and the machinery
-//!    around the engine (trace record/replay, contention reports) keeps
-//!    working under it.
+//!    around the engine (the cell store, contention reports) keeps working
+//!    under it.
 
 use proptest::prelude::*;
 use save_core::{CoreConfig, SanitizeLevel};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
 use save_sim::runner::{
-    run_kernel_custom, run_kernel_custom_traced, run_kernel_full, ConfigKind, MachineConfig,
-    MachineMode, MulticoreConfig,
+    run_kernel_custom, run_kernel_full, ConfigKind, MachineConfig, MachineMode, MulticoreConfig,
 };
-use save_sim::TraceStore;
+use save_sim::{CellSpec, TraceStore};
 
 fn tiny(name: &str) -> GemmWorkload {
     GemmWorkload::dense(
@@ -93,21 +92,24 @@ fn full_sanitizer_accepts_relaxed_execution() {
     }
 }
 
-/// Trace record/replay (DESIGN.md §5h) composes with the relaxed engine:
-/// the replayed cell is bit-identical to the recording cell.
+/// The cell store (DESIGN.md §5h) composes with the relaxed engine: a
+/// detailed cell run through a store, and its memoized repeat, are
+/// bit-identical to the direct run.
 #[test]
-fn trace_replay_is_pure_under_relaxed() {
-    let w = tiny("relaxed-trace");
-    let m = machine(4, 250, 2);
-    let cfg = ConfigKind::Save2Vpu.core_config();
+fn store_run_is_pure_under_relaxed() {
+    let spec = CellSpec::custom(
+        tiny("relaxed-store"),
+        ConfigKind::Save2Vpu.core_config(),
+        machine(4, 250, 2),
+        21,
+    );
     let store = TraceStore::new();
-    let direct = run_kernel_custom(&w, &cfg, &m, 21, false).expect("direct");
-    let recorded =
-        run_kernel_custom_traced(&w, &cfg, &m, 21, false, None, &store).expect("record");
-    let replayed =
-        run_kernel_custom_traced(&w, &cfg, &m, 21, false, None, &store).expect("replay");
-    assert_eq!(fingerprint(&recorded), fingerprint(&direct), "record-and-use must not drift");
-    assert_eq!(fingerprint(&replayed), fingerprint(&direct), "replay must not drift");
+    let direct = spec.run(None).expect("direct");
+    let first = spec.run_traced(None, &store).expect("store run");
+    let memo = spec.run_traced(None, &store).expect("memoized run");
+    assert_eq!(store.result_hits(), 1, "the repeat is served from the memo");
+    assert_eq!(fingerprint(&first), fingerprint(&direct), "store run must not drift");
+    assert_eq!(fingerprint(&memo), fingerprint(&direct), "memo must not drift");
 }
 
 /// The 28-core contention signals the lockstep 4-core machine could never

@@ -1,15 +1,15 @@
-//! The replay purity canary (DESIGN.md §5h): replaying a recorded
-//! functional trace must be indistinguishable — bit-for-bit — from direct
-//! execution. Random cells across every operating point, both machine
-//! modes, and the Full sanitizer; plus the `sweep_many` ≡ N×`sweep`
-//! equivalence that the "execute once, time N" machinery rests on.
+//! The store purity canary (DESIGN.md §5h): a cell run through a
+//! [`TraceStore`] — answered from the result memo, or run on a copy of a
+//! reused built kernel — must be indistinguishable, bit for bit, from its
+//! direct execution. Random cells across every operating point, both
+//! machine modes, and the Full sanitizer; plus a check that the store's
+//! kernels stay pristine however many cells run on them.
 
 use proptest::prelude::*;
 use save_core::{CoreConfig, SanitizeLevel};
+use save_isa::Memory;
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::{
-    CellSpec, ConfigKind, CoreSel, MachineConfig, MachineMode, Surface, TraceStore,
-};
+use save_sim::{CellSpec, ConfigKind, CoreSel, MachineConfig, MachineMode, TraceStore};
 
 #[derive(Clone, Debug)]
 struct Cell {
@@ -85,9 +85,10 @@ fn machine_of(c: &Cell) -> MachineConfig {
 }
 
 /// Runs every operating point for the cell twice — directly and through a
-/// shared [`TraceStore`] (the first traced run records, the rest replay) —
-/// and asserts bit-identical seconds, cycles and stats.
-fn assert_replay_pure(w: &GemmWorkload, machine: &MachineConfig, seed: u64, kinds: &[CoreSel]) {
+/// shared [`TraceStore`] (the first store-backed run builds and admits the
+/// kernel, the rest reuse it) — and asserts bit-identical seconds, cycles
+/// and stats.
+fn assert_store_pure(w: &GemmWorkload, machine: &MachineConfig, seed: u64, kinds: &[CoreSel]) {
     let store = TraceStore::new();
     for (i, core) in kinds.iter().enumerate() {
         let spec = CellSpec {
@@ -98,16 +99,23 @@ fn assert_replay_pure(w: &GemmWorkload, machine: &MachineConfig, seed: u64, kind
             verify: false,
         };
         let direct = spec.run(None).expect("direct run");
-        let traced = spec.run_traced(None, &store).expect("traced run");
+        let stored = spec.run_traced(None, &store).expect("store-backed run");
         assert_eq!(
             direct.seconds.to_bits(),
-            traced.seconds.to_bits(),
-            "kind {i}: replayed seconds must be bit-identical"
+            stored.seconds.to_bits(),
+            "kind {i}: store-backed seconds must be bit-identical"
         );
-        assert_eq!(direct.cycles, traced.cycles, "kind {i}: cycles diverged");
-        assert_eq!(direct.stats, traced.stats, "kind {i}: CoreStats diverged");
-        assert_eq!(direct.verified, traced.verified, "kind {i}: verified flag diverged");
+        assert_eq!(direct.cycles, stored.cycles, "kind {i}: cycles diverged");
+        assert_eq!(direct.stats, stored.stats, "kind {i}: CoreStats diverged");
+        assert_eq!(direct.verified, stored.verified, "kind {i}: verified flag diverged");
     }
+    // Symmetric cells reuse the kernel the first one admitted; detailed
+    // cells go through the memo only.
+    let reuses = match machine.mode {
+        MachineMode::Symmetric => kinds.len() as u64 - 1,
+        MachineMode::Detailed => 0,
+    };
+    assert_eq!(store.hits(), reuses, "kernel reuses");
 }
 
 fn named_kinds() -> Vec<CoreSel> {
@@ -116,20 +124,20 @@ fn named_kinds() -> Vec<CoreSel> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
-    /// Random cells: replay through a trace store is bit-identical to
-    /// direct execution for all three operating points, in whichever
-    /// machine mode the cell drew.
+    /// Random cells: a run through the store is bit-identical to direct
+    /// execution for all three operating points, in whichever machine mode
+    /// the cell drew.
     #[test]
-    fn replay_is_bit_identical_to_direct(c in cell()) {
-        assert_replay_pure(&workload_of(&c), &machine_of(&c), c.seed, &named_kinds());
+    fn store_run_is_bit_identical_to_direct(c in cell()) {
+        assert_store_pure(&workload_of(&c), &machine_of(&c), c.seed, &named_kinds());
     }
 }
 
 /// The Full sanitizer — every issue-time and state-scan check, every cycle
-/// — must accept replayed runs exactly as it accepts direct ones, in both
-/// machine modes.
+/// — must accept store-backed runs exactly as it accepts direct ones, in
+/// both machine modes.
 #[test]
-fn replay_survives_full_sanitizer_in_both_modes() {
+fn store_survives_full_sanitizer_in_both_modes() {
     let sanitized: Vec<CoreSel> = ConfigKind::ALL
         .iter()
         .map(|k| CoreSel::Custom {
@@ -154,14 +162,59 @@ fn replay_survives_full_sanitizer_in_both_modes() {
         .with_sparsity(0.6, 0.5);
         for mode in [MachineMode::Symmetric, MachineMode::Detailed] {
             let machine = MachineConfig { cores: 2, mode, ..Default::default() };
-            assert_replay_pure(&w, &machine, 17, &sanitized);
+            assert_store_pure(&w, &machine, 17, &sanitized);
         }
     }
 }
 
+/// Every f32 word of two arenas, bit for bit.
+fn same_arena(a: &Memory, b: &Memory) -> bool {
+    a.size() == b.size()
+        && (0..a.size() as u64 / 4)
+            .all(|i| a.read_f32(4 * i).to_bits() == b.read_f32(4 * i).to_bits())
+}
+
+/// The store hands out pristine kernels: one trace key run under every
+/// operating point and then once more with verification, each on the same
+/// cached kernel. Every result matches its direct run, the verified run
+/// checks out, and the cached kernel's memory still equals a fresh build —
+/// a run that wrote its output into the cached arena fails here.
+#[test]
+fn store_hands_out_pristine_kernels() {
+    let w = GemmWorkload::dense(
+        "canary-pristine",
+        GemmKernelSpec {
+            m_tiles: 4,
+            n_vecs: 2,
+            pattern: BroadcastPattern::Explicit,
+            precision: Precision::F32,
+        },
+        16,
+        2,
+    )
+    .with_sparsity(0.5, 0.4);
+    let machine = MachineConfig::default();
+    let store = TraceStore::new();
+    let mut specs: Vec<CellSpec> =
+        ConfigKind::ALL.iter().map(|&k| CellSpec::new(w.clone(), k, machine, 23)).collect();
+    specs.push(CellSpec { verify: true, ..specs[2].clone() });
+    for spec in &specs {
+        let stored = spec.run_traced(None, &store).expect("store-backed run");
+        let direct = spec.run(None).expect("direct run");
+        assert_eq!(stored.seconds.to_bits(), direct.seconds.to_bits());
+        assert_eq!(stored.cycles, direct.cycles);
+        assert_eq!(stored.stats, direct.stats);
+        assert_eq!(stored.verified, spec.verify);
+    }
+    assert_eq!(store.result_hits(), 0, "every cell differs in its timing key");
+    assert_eq!(store.hits(), specs.len() as u64 - 1, "one build, reused by every later cell");
+    let cached = store.get(specs[0].trace_key().unwrap()).expect("kernel admitted");
+    assert!(same_arena(&cached.mem, &w.build(23).mem), "a run wrote into the cached kernel");
+}
+
 /// The result memo and the display-name-agnostic trace key must both be
 /// invisible in the bits: a duplicate cell served from the memo, and a
-/// renamed-but-identical workload replaying another's trace, each match
+/// renamed-but-identical workload answered from another's memo, each match
 /// their own direct execution exactly.
 #[test]
 fn result_memo_and_renamed_workloads_stay_pure() {
@@ -195,40 +248,8 @@ fn result_memo_and_renamed_workloads_stay_pure() {
     renamed.name = "canary-memo-alias".into();
     let alias = CellSpec::new(renamed, ConfigKind::Save2Vpu, machine, 11);
     assert_eq!(spec.trace_key().unwrap(), alias.trace_key().unwrap());
-    let traced = alias.run_traced(None, &store).expect("alias traced");
+    let stored = alias.run_traced(None, &store).expect("alias store-backed");
     let direct = alias.run(None).expect("alias direct");
-    assert_eq!(traced.seconds.to_bits(), direct.seconds.to_bits());
-    assert_eq!(traced.stats, direct.stats);
-}
-
-/// `sweep_many` over all three kinds is bit-identical to three independent
-/// `sweep` calls — the equivalence "execute once, time N" rests on.
-#[test]
-fn sweep_many_matches_per_kind_sweeps_bit_for_bit() {
-    let w = GemmWorkload::dense(
-        "canary-sweep",
-        GemmKernelSpec {
-            m_tiles: 4,
-            n_vecs: 2,
-            pattern: BroadcastPattern::Explicit,
-            precision: Precision::F32,
-        },
-        16,
-        2,
-    );
-    let machine = MachineConfig::default();
-    let (a_levels, b_levels) = (vec![0.0, 0.6], vec![0.3, 0.8]);
-    let many =
-        Surface::sweep_many(&w, &ConfigKind::ALL, &machine, &a_levels, &b_levels, 2).unwrap();
-    assert_eq!(many.len(), ConfigKind::ALL.len());
-    for (kind, got) in ConfigKind::ALL.iter().zip(&many) {
-        let want = Surface::sweep(&w, *kind, &machine, &a_levels, &b_levels, 2).unwrap();
-        for (i, (g, w_)) in got.secs.iter().zip(&want.secs).enumerate() {
-            assert_eq!(
-                g.to_bits(),
-                w_.to_bits(),
-                "{kind:?} cell {i}: sweep_many diverged from sweep"
-            );
-        }
-    }
+    assert_eq!(stored.seconds.to_bits(), direct.seconds.to_bits());
+    assert_eq!(stored.stats, direct.stats);
 }

@@ -9,8 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use save_core::CoreConfig;
 use save_kernels::{Phase, Precision};
 use save_mem::energy::{PrecisionSupport, StorageModel};
-use save_sim::runner::{run_kernel, run_kernel_custom};
-use save_sim::{ConfigKind, MachineConfig, Network};
+use save_sim::{CellSpec, ConfigKind, MachineConfig, Network};
 use save_sparsity::{ActivationModel, NetKind, PruningSchedule};
 
 fn quick_machine() -> MachineConfig {
@@ -72,7 +71,7 @@ fn bench_fig14(c: &mut Criterion) {
         let mut seed = 0;
         b.iter(|| {
             seed += 1;
-            std::hint::black_box(run_kernel(&w, ConfigKind::Save2Vpu, &m, seed, false).map(|r| r.cycles))
+            std::hint::black_box(CellSpec::new(w.clone(), ConfigKind::Save2Vpu, m, seed).run(None).map(|r| r.result.cycles))
         })
     });
 }
@@ -81,7 +80,7 @@ fn bench_fig15(c: &mut Criterion) {
     c.bench_function("fig15/mp_forward_sweep_point", |b| {
         let w = small("ResNet2_2", Phase::Forward, Precision::Mixed, 0.4, 0.4);
         let m = quick_machine();
-        b.iter(|| std::hint::black_box(run_kernel(&w, ConfigKind::Save1Vpu, &m, 1, false).map(|r| r.cycles)))
+        b.iter(|| std::hint::black_box(CellSpec::new(w.clone(), ConfigKind::Save1Vpu, m, 1).run(None).map(|r| r.result.cycles)))
     });
 }
 
@@ -89,7 +88,7 @@ fn bench_fig16(c: &mut Criterion) {
     c.bench_function("fig16/speedup_cap_point", |b| {
         let w = small("VGG3_2", Phase::Forward, Precision::F32, 0.9, 0.9);
         let m = quick_machine();
-        b.iter(|| std::hint::black_box(run_kernel(&w, ConfigKind::Save1Vpu, &m, 1, false).map(|r| r.cycles)))
+        b.iter(|| std::hint::black_box(CellSpec::new(w.clone(), ConfigKind::Save1Vpu, m, 1).run(None).map(|r| r.result.cycles)))
     });
 }
 
@@ -97,7 +96,7 @@ fn bench_fig17(c: &mut Criterion) {
     c.bench_function("fig17/embedded_broadcast_with_bcache", |b| {
         let w = small("ResNet3_2", Phase::BackwardWeights, Precision::F32, 0.4, 0.4);
         let m = quick_machine();
-        b.iter(|| std::hint::black_box(run_kernel(&w, ConfigKind::Save2Vpu, &m, 1, false).map(|r| r.cycles)))
+        b.iter(|| std::hint::black_box(CellSpec::new(w.clone(), ConfigKind::Save2Vpu, m, 1).run(None).map(|r| r.result.cycles)))
     });
 }
 
@@ -116,7 +115,7 @@ fn bench_fig18(c: &mut Criterion) {
     ] {
         c.bench_function(&format!("fig18/{label}"), |b| {
             let w = small("ResNet3_2", Phase::BackwardInput, Precision::F32, 0.0, 0.5);
-            b.iter(|| std::hint::black_box(run_kernel_custom(&w, &cfg, &m, 1, false).map(|r| r.cycles)))
+            b.iter(|| std::hint::black_box(CellSpec::custom(w.clone(), cfg, m, 1).run(None).map(|r| r.result.cycles)))
         });
     }
 }
@@ -127,7 +126,7 @@ fn bench_fig19(c: &mut Criterion) {
         let cfg = CoreConfig { mp_compress: compress, ..CoreConfig::save_1vpu() };
         c.bench_function(&format!("fig19/{label}"), |b| {
             let w = small("ResNet4_1a", Phase::BackwardInput, Precision::Mixed, 0.0, 0.6);
-            b.iter(|| std::hint::black_box(run_kernel_custom(&w, &cfg, &m, 1, false).map(|r| r.cycles)))
+            b.iter(|| std::hint::black_box(CellSpec::custom(w.clone(), cfg, m, 1).run(None).map(|r| r.result.cycles)))
         });
     }
 }

@@ -11,8 +11,7 @@
 
 use save_bench::print_table;
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::run_kernel_cancel;
-use save_sim::{ConfigKind, MachineConfig, SimError};
+use save_sim::{CellSpec, ConfigKind, MachineConfig, SimError};
 use std::process::ExitCode;
 
 fn explicit_spec() -> GemmKernelSpec {
@@ -35,17 +34,23 @@ fn body(
     let grid = cli.grid();
     let machine = MachineConfig::default();
 
+    // Both tables pair every approach's cell with the baseline cell of its
+    // sparsity level (and, for the first table, its zero clustering); the
+    // baselines repeat across approaches and the repeats are answered from
+    // the batch's memo. A label names one spec: the journal keys cells by
+    // label.
+
     // 1. SparseTrain-style software skipping vs / with SAVE, across BS,
     // under uniform-random and clustered (ReLU-like) sparsity.
-    let mut rows = Vec::new();
-    for (label, software, kind, cluster) in [
+    let approaches = [
         ("software skip, uniform zeros", true, ConfigKind::Baseline, 1usize),
         ("software skip, clustered zeros", true, ConfigKind::Baseline, 16),
         ("SAVE (hardware), uniform", false, ConfigKind::Save2Vpu, 1),
         ("SAVE (hardware), clustered", false, ConfigKind::Save2Vpu, 16),
         ("SAVE + software skip, clustered", true, ConfigKind::Save2Vpu, 16),
-    ] {
-        let mut row = vec![label.to_string()];
+    ];
+    let mut batch = Vec::new();
+    for (label, software, kind, cluster) in approaches {
         for &bs in &grid {
             let plain = GemmWorkload {
                 a_cluster: cluster,
@@ -53,15 +58,17 @@ fn body(
             };
             let w = GemmWorkload { software_bs_skip: software, ..plain.clone() };
             let seed = (bs * 100.0) as u64;
-            let speedup = session.seconds(&format!("{label} bs={bs:.1}"), |tok| {
-                let tb =
-                    run_kernel_cancel(&plain, ConfigKind::Baseline, &machine, seed, false, Some(tok))?
-                        .seconds;
-                let ts = run_kernel_cancel(&w, kind, &machine, seed, false, Some(tok))?.seconds;
-                Ok(tb / ts)
-            });
-            row.push(format!("{speedup:.2}"));
+            let base = CellSpec::new(plain, ConfigKind::Baseline, machine, seed);
+            batch.push((format!("bs={bs:.1} cluster={cluster} baseline"), base));
+            batch.push((format!("bs={bs:.1} {label}"), CellSpec::new(w, kind, machine, seed)));
         }
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+    let mut rows = Vec::new();
+    for (label, ..) in approaches {
+        let mut row = vec![label.to_string()];
+        row.extend(grid.iter().map(|_| format!("{:.2}", speedups.next().unwrap_or(f64::NAN))));
         rows.push(row);
     }
     let mut headers: Vec<String> = vec!["approach".into()];
@@ -79,29 +86,28 @@ fn body(
         compressed_b: compressed,
         ..GemmWorkload::dense("zc", explicit_spec(), 64, 8).with_sparsity(0.2, nbs)
     };
-    let mut rows = Vec::new();
-    for (label, compressed, kind) in [
+    let approaches = [
         ("SAVE 2 VPUs", false, ConfigKind::Save2Vpu),
         ("SAVE 2 VPUs + ZCOMP", true, ConfigKind::Save2Vpu),
         ("SAVE 1 VPU", false, ConfigKind::Save1Vpu),
         ("SAVE 1 VPU + ZCOMP", true, ConfigKind::Save1Vpu),
-    ] {
-        let mut row = vec![label.to_string()];
+    ];
+    let mut batch = Vec::new();
+    for (label, compressed, kind) in approaches {
         for &nbs in &grid {
             let seed = (nbs * 100.0) as u64;
-            let speedup = session.seconds(&format!("{label} nbs={nbs:.1}"), |tok| {
-                let tb = run_kernel_cancel(
-                    &streaming(nbs, false), ConfigKind::Baseline, &machine, seed, false, Some(tok),
-                )?
-                .seconds;
-                let ts = run_kernel_cancel(
-                    &streaming(nbs, compressed), kind, &machine, seed, false, Some(tok),
-                )?
-                .seconds;
-                Ok(tb / ts)
-            });
-            row.push(format!("{speedup:.2}"));
+            let base = CellSpec::new(streaming(nbs, false), ConfigKind::Baseline, machine, seed);
+            batch.push((format!("nbs={nbs:.1} baseline"), base));
+            let cell = CellSpec::new(streaming(nbs, compressed), kind, machine, seed);
+            batch.push((format!("nbs={nbs:.1} {label}"), cell));
         }
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+    let mut rows = Vec::new();
+    for (label, ..) in approaches {
+        let mut row = vec![label.to_string()];
+        row.extend(grid.iter().map(|_| format!("{:.2}", speedups.next().unwrap_or(f64::NAN))));
         rows.push(row);
     }
     let mut headers: Vec<String> = vec!["approach".into()];

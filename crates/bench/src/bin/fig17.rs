@@ -11,8 +11,7 @@ use save_bench::print_table;
 use save_core::CoreConfig;
 use save_kernels::{Phase, Precision};
 use save_mem::BcastDesign;
-use save_sim::runner::run_kernel_custom_cancel;
-use save_sim::{MachineConfig, SimError};
+use save_sim::{CellSpec, MachineConfig, SimError};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -44,31 +43,38 @@ fn body(
     let designs: [(&str, Option<BcastDesign>); 3] =
         [("No B$", None), ("B$ w/ masks", Some(BcastDesign::Masks)), ("B$ w/ data", Some(BcastDesign::Data))];
 
-    let mut points = Vec::new();
-    let mut rows = Vec::new();
+    // Each design's cell sits next to the baseline cell of its (BS, NBS)
+    // point; the baseline repeats once per design and the repeats are
+    // answered from the batch's memo. A label names one spec: the journal
+    // keys cells by label.
+    let with_bcast = |bcast| {
+        let mut machine = MachineConfig::default();
+        machine.mem.bcast = bcast;
+        machine
+    };
+    let mut batch = Vec::new();
     for bs in [0.0, 0.4] {
         for (label, design) in designs {
-            let mut row = vec![format!("{label} @ {:.0}% BS", bs * 100.0)];
             for &nbs in &grid {
-                let mut machine = MachineConfig::default();
-                machine.mem.bcast = design;
                 let w = w0.clone().with_sparsity(bs, nbs);
                 let seed = ((bs * 100.0) as u64) << 8 | (nbs * 100.0) as u64;
                 // Baseline never has a B$ (it is a SAVE structure).
-                let mut base_machine = MachineConfig::default();
-                base_machine.mem.bcast = None;
-                let cell = format!("{label} bs={bs:.1} nbs={nbs:.1}");
-                let speedup = session.seconds(&cell, |tok| {
-                    let tb = run_kernel_custom_cancel(
-                        &w, &CoreConfig::baseline(), &base_machine, seed, false, Some(tok),
-                    )?
-                    .seconds;
-                    let ts = run_kernel_custom_cancel(
-                        &w, &CoreConfig::save_2vpu(), &machine, seed, false, Some(tok),
-                    )?
-                    .seconds;
-                    Ok(tb / ts)
-                });
+                let base = CellSpec::custom(w.clone(), CoreConfig::baseline(), with_bcast(None), seed);
+                let save = CellSpec::custom(w, CoreConfig::save_2vpu(), with_bcast(design), seed);
+                batch.push((format!("bs={bs:.1} nbs={nbs:.1} baseline"), base));
+                batch.push((format!("bs={bs:.1} nbs={nbs:.1} {label}"), save));
+            }
+        }
+    }
+    let secs = session.spec_seconds_batch(&batch);
+    let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+    let mut points = Vec::new();
+    let mut rows = Vec::new();
+    for bs in [0.0, 0.4] {
+        for (label, _) in designs {
+            let mut row = vec![format!("{label} @ {:.0}% BS", bs * 100.0)];
+            for &nbs in &grid {
+                let speedup = speedups.next().unwrap_or(f64::NAN);
                 row.push(format!("{speedup:.2}"));
                 points.push(Point { design: label.into(), bs, nbs, speedup });
             }

@@ -13,8 +13,7 @@
 use save_bench::print_table;
 use save_core::{CoreConfig, SchedulerKind};
 use save_kernels::{Phase, Precision};
-use save_sim::runner::run_kernel_custom_cancel;
-use save_sim::{MachineConfig, SimError};
+use save_sim::{CellSpec, MachineConfig, SimError};
 use serde::Serialize;
 use std::process::ExitCode;
 
@@ -70,22 +69,27 @@ fn body(
             m,
             n
         );
-        let mut rows = Vec::new();
+        // Each technique's cell sits next to the baseline cell of its NBS
+        // level; the baseline repeats once per technique and the repeats
+        // are answered from the batch's memo. A label names one spec: the
+        // journal keys cells by label.
+        let mut batch = Vec::new();
         for (label, cfg) in techniques() {
-            let mut row = vec![label.to_string()];
             for &nbs in &grid {
                 let w = w0.clone().with_sparsity(0.0, nbs);
                 let seed = (nbs * 100.0) as u64;
-                let cell = format!("{name} {label} nbs={nbs:.1}");
-                let speedup = session.seconds(&cell, |tok| {
-                    let tb = run_kernel_custom_cancel(
-                        &w, &CoreConfig::baseline(), &machine, seed, false, Some(tok),
-                    )?
-                    .seconds;
-                    let ts =
-                        run_kernel_custom_cancel(&w, &cfg, &machine, seed, false, Some(tok))?.seconds;
-                    Ok(tb / ts)
-                });
+                let cell = |c| CellSpec::custom(w.clone(), c, machine, seed);
+                batch.push((format!("{name} nbs={nbs:.1} baseline"), cell(CoreConfig::baseline())));
+                batch.push((format!("{name} nbs={nbs:.1} {label}"), cell(cfg)));
+            }
+        }
+        let secs = session.spec_seconds_batch(&batch);
+        let mut speedups = secs.chunks(2).map(|p| p[0] / p[1]);
+        let mut rows = Vec::new();
+        for (label, _) in techniques() {
+            let mut row = vec![label.to_string()];
+            for &nbs in &grid {
+                let speedup = speedups.next().unwrap_or(f64::NAN);
                 row.push(format!("{speedup:.2}"));
                 points.push(Point {
                     kernel: name.into(),

@@ -16,9 +16,8 @@
 
 use save_bench::print_table;
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::run_kernel_full;
 use save_sim::{
-    ConfigKind, KernelRun, MachineConfig, MachineMode, MulticoreConfig, SimError,
+    CellSpec, ConfigKind, KernelRun, MachineConfig, MachineMode, MulticoreConfig, SimError,
 };
 use serde::Serialize;
 use std::process::ExitCode;
@@ -80,14 +79,9 @@ fn flag_value(rest: &[String], flag: &str) -> Option<u64> {
 }
 
 /// Runs one cell and wall-clocks it.
-fn timed_run(
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    m: &MachineConfig,
-    tok: &save_sim::CancelToken,
-) -> Result<(KernelRun, f64), SimError> {
+fn timed_run(spec: &CellSpec, tok: &save_sim::CancelToken) -> Result<(KernelRun, f64), SimError> {
     let t0 = Instant::now();
-    let run = run_kernel_full(w, kind, m, 1, false, Some(tok))?;
+    let run = spec.run(Some(tok))?;
     Ok((run, t0.elapsed().as_secs_f64()))
 }
 
@@ -110,10 +104,11 @@ fn body(
     for w in workloads() {
         for kind in ConfigKind::ALL {
             let label = format!("{}-{}", w.name, kind.label());
+            let cell = |m| CellSpec::new(w.clone(), kind, m, 1);
             let Some(point) = session.run(&label, |tok| {
-                let (run, host) = timed_run(&w, kind, &relaxed, tok)?;
+                let (run, host) = timed_run(&cell(relaxed), tok)?;
                 let (ratio, speedup) = if compare {
-                    let (lock, lock_host) = timed_run(&w, kind, &lockstep, tok)?;
+                    let (lock, lock_host) = timed_run(&cell(lockstep), tok)?;
                     (
                         Some(run.result.cycles as f64 / lock.result.cycles.max(1) as f64),
                         Some(lock_host / host.max(1e-9)),

@@ -24,9 +24,7 @@
 
 use save_bench::print_table;
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::{
-    run_kernel, run_kernel_cancel, ConfigKind, MachineConfig, MachineMode, MulticoreConfig,
-};
+use save_sim::runner::{ConfigKind, MachineConfig, MachineMode, MulticoreConfig};
 use save_sim::{host_parallelism, CancelToken, CellSpec, SimError, TraceStore};
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
@@ -181,18 +179,19 @@ fn reference_workloads(quick: bool) -> Vec<GemmWorkload> {
 /// quantity the `--check` ratio needs to be stable run-to-run.
 const REPS: usize = 3;
 
-/// Times `run_kernel` `REPS` times and returns (cycles, best host seconds).
+/// Times the cell `REPS` times and returns (cycles, best host seconds).
 fn time_point(
     w: &GemmWorkload,
     kind: ConfigKind,
     machine: &MachineConfig,
     tok: &CancelToken,
 ) -> Result<(u64, f64), SimError> {
+    let spec = CellSpec::new(w.clone(), kind, *machine, 7);
     let mut cycles = 0;
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
         let t0 = Instant::now();
-        let r = run_kernel_cancel(w, kind, machine, 7, false, Some(tok))?;
+        let r = spec.run(Some(tok))?.result;
         let host = t0.elapsed().as_secs_f64();
         cycles = r.cycles;
         if host < best {
@@ -312,7 +311,7 @@ fn replay_sweep(quick: bool, tok: &CancelToken) -> Result<ReplaySweep, SimError>
         for c in &cells {
             cycles += match store {
                 Some(s) => c.run_traced(Some(tok), s)?,
-                None => c.run(Some(tok))?,
+                None => c.run(Some(tok))?.result,
             }
             .cycles;
         }
@@ -422,11 +421,12 @@ fn measure_scaling(quick: bool, tok: &CancelToken) -> Result<MulticoreScaling, S
                 mc: MulticoreConfig { quantum, threads: 0 },
                 ..MachineConfig::default()
             };
+            let spec = CellSpec::new(w.clone(), ConfigKind::Save2Vpu, machine, 7);
             let mut cycles = 0;
             let mut best = f64::INFINITY;
             for _ in 0..REPS {
                 let t0 = Instant::now();
-                let r = run_kernel_cancel(&w, ConfigKind::Save2Vpu, &machine, 7, false, Some(tok))?;
+                let r = spec.run(Some(tok))?.result;
                 best = best.min(t0.elapsed().as_secs_f64());
                 cycles = r.cycles;
             }
@@ -500,7 +500,7 @@ fn body(
         2,
     )
     .with_sparsity(0.3, 0.3);
-    let _ = run_kernel(&warm, ConfigKind::Save2Vpu, &MachineConfig::default(), 7, false);
+    let _ = CellSpec::new(warm, ConfigKind::Save2Vpu, MachineConfig::default(), 7).run(None);
 
     let Some(points) = session.run("reference sweep", |tok| measure(quick, tok)) else {
         return Ok(());

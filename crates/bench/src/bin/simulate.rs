@@ -19,8 +19,7 @@
 //! readable message with a non-zero exit code.
 
 use save_core::SanitizeLevel;
-use save_sim::runner::{run_kernel_cancel, run_kernel_custom_cancel};
-use save_sim::{ConfigKind, MachineConfig, MachineMode, SimError};
+use save_sim::{CellSpec, ConfigKind, MachineConfig, MachineMode, SimError};
 
 fn usage() -> ! {
     eprintln!(
@@ -108,15 +107,18 @@ fn body(
         })?),
         None => None,
     };
-    let Some(result) = session.run(&workload.name.clone(), |tok| match sanitize {
+    let spec = match sanitize {
         Some(sanitize) => {
             let cfg = save_core::CoreConfig { sanitize, ..kind.core_config() };
-            run_kernel_custom_cancel(&workload, &cfg, &machine, seed, true, Some(tok))
+            CellSpec::custom(workload.clone(), cfg, machine, seed)
         }
-        None => run_kernel_cancel(&workload, kind, &machine, seed, true, Some(tok)),
-    }) else {
+        None => CellSpec::new(workload.clone(), kind, machine, seed),
+    };
+    let spec = spec.with_verify(true);
+    let Some(run) = session.run(&workload.name, |tok| spec.run(Some(tok))) else {
         return Ok(());
     };
+    let result = run.result;
     if args.iter().any(|a| a == "--json") {
         let s = serde_json::to_string_pretty(&result)
             .map_err(|e| SimError::Io { what: format!("serialize result: {e}") })?;

@@ -17,9 +17,10 @@
 //! [`save_sim::durable`], a cell that fails (typed [`SimError`] or a
 //! panic) becomes a `NaN` entry instead of aborting the figure, and
 //! [`SweepSession::finish`] dumps a [`FailureReport`] JSON next to the
-//! results. With `--checkpoint-dir`, every [`SweepSession::seconds`] cell
-//! is journaled by label hash, so a killed run resumed with `--resume`
-//! restores finished cells bit-identically instead of recomputing them.
+//! results. With `--checkpoint-dir`, every
+//! [`SweepSession::spec_seconds_batch`] cell is journaled by label hash, so
+//! a killed run resumed with `--resume` restores finished cells
+//! bit-identically instead of recomputing them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -208,15 +209,15 @@ impl BenchCli {
 
 /// Fault-isolating, durable harness for one experiment binary.
 ///
-/// Every simulated cell goes through [`SweepSession::run`] (or the
-/// [`SweepSession::seconds`] convenience): the job runs under the
-/// session's [`RetryPolicy`] via [`save_sim::durable::run_cell`] — panic
-/// isolation, per-attempt wall-clock deadline, bounded retries with
+/// Every simulated cell goes through [`SweepSession::run`] (or a
+/// [`SweepSession::spec_seconds_batch`] of seconds cells): the job runs
+/// under the session's [`RetryPolicy`] via [`save_sim::durable::run_cell`]
+/// — panic isolation, per-attempt wall-clock deadline, bounded retries with
 /// exponential backoff — and a cell that still fails is recorded instead
 /// of propagated, so the sweep continues with the remaining cells.
 ///
 /// When built with a checkpoint (through [`run_main`] and
-/// `--checkpoint-dir`), each [`SweepSession::seconds`] cell is journaled
+/// `--checkpoint-dir`), each seconds cell of a spec batch is journaled
 /// under the FNV-1a hash of its label; on `--resume`, journaled cells are
 /// restored bit-identically without recomputation. A global cancel
 /// (Ctrl-C / SIGTERM) stops claiming cells, leaves the journal flushed,
@@ -341,7 +342,8 @@ impl SweepSession {
     /// the cell is resumable, not failed).
     ///
     /// Generic-result cells are *not* journaled; only
-    /// [`SweepSession::seconds`] cells participate in checkpoint/resume.
+    /// [`SweepSession::spec_seconds_batch`] cells participate in
+    /// checkpoint/resume.
     pub fn run<R>(
         &mut self,
         label: &str,
@@ -386,7 +388,7 @@ impl SweepSession {
     /// resumed run restores it bit-identically — including journaled
     /// *failures*, which are re-reported without burning their deadline
     /// again. Cancelled cells are never journaled, so they re-run.
-    pub fn seconds(&mut self, label: &str, f: impl Fn(&CancelToken) -> Result<f64, SimError>) -> f64 {
+    fn seconds(&mut self, label: &str, f: impl Fn(&CancelToken) -> Result<f64, SimError>) -> f64 {
         let cell = fnv1a(label.as_bytes());
         if let Some(rec) = self.checkpoint.as_ref().and_then(|c| c.done(cell)).cloned() {
             self.jobs += 1;
@@ -397,12 +399,7 @@ impl SweepSession {
                 job: self.jobs - 1,
                 label: Some(label.to_string()),
                 attempts: rec.attempts as usize,
-                error: SimError::Io {
-                    what: format!(
-                        "journaled failure from a previous run (kind: {})",
-                        rec.error_kind
-                    ),
-                },
+                error: rec.journaled_error(),
             });
             return f64::NAN;
         }
@@ -457,18 +454,22 @@ impl SweepSession {
     }
 
     /// Resolves a batch of self-describing `(label, spec)` cells through
-    /// [`SweepSession::seconds`] and returns their seconds in submission
+    /// the journaled seconds path and returns their seconds in submission
     /// order. Journaled cells are restored without running; the rest share
     /// one bounded [`TraceStore`], so each distinct functional key is built
     /// once, every other cell with that key reuses the built kernel, and
     /// repeated cells are answered from the full-result memo,
     /// bit-identically (DESIGN.md §5h).
     pub fn spec_seconds_batch(&mut self, cells: &[(String, CellSpec)]) -> Vec<f64> {
-        let store = TraceStore::with_capacity(8);
+        self.spec_seconds_in(cells, &TraceStore::with_capacity(8))
+    }
+
+    /// [`SweepSession::spec_seconds_batch`] through the caller's `store`.
+    fn spec_seconds_in(&mut self, cells: &[(String, CellSpec)], store: &TraceStore) -> Vec<f64> {
         cells
             .iter()
             .map(|(label, spec)| {
-                self.seconds(label, |tok| spec.run_traced(Some(tok), &store).map(|r| r.seconds))
+                self.seconds(label, |tok| spec.run_traced(Some(tok), store).map(|r| r.seconds))
             })
             .collect()
     }
@@ -688,7 +689,11 @@ mod tests {
         assert_eq!(called.load(std::sync::atomic::Ordering::SeqCst), 0, "no recompute");
         assert_eq!(restored.to_bits(), secs.to_bits(), "bit-identical restore");
         assert!(s.seconds("cell-b", |_| Ok(1.0)).is_nan(), "journaled failure fails fast");
-        assert_eq!(s.report().failures.len(), 1);
+        let failures = s.report().failures;
+        assert_eq!(failures.len(), 1);
+        let resumed = &failures[0].error;
+        assert_eq!(resumed.kind(), "invalid-config", "the journaled kind is kept: {resumed}");
+        assert_eq!(resumed.retry_class(), RetryClass::Permanent, "{resumed}");
 
         // A different experiment may not reuse the directory.
         let err = SweepSession::durable("other", &cli2, sup.handle()).err().expect("manifest must mismatch");
@@ -697,12 +702,14 @@ mod tests {
     }
 
     /// The batch path on a durable session: every cell equals its direct
-    /// run bit for bit — including a cell repeated under a second label,
-    /// which the shared store answers from its memo — and a resumed
-    /// session restores the whole batch from the journal with the same
-    /// bits.
+    /// run bit for bit — including cells repeated under a second label
+    /// (a named operating point, and a `Custom` baseline as the ratio
+    /// binaries submit it), which the shared store answers from its memo —
+    /// and a resumed session restores the whole batch from the journal
+    /// with the same bits.
     #[test]
     fn spec_batch_matches_direct_runs_and_resumes_bit_identically() {
+        use save_core::CoreConfig;
         use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
         use save_sim::{ConfigKind, MachineConfig};
 
@@ -719,13 +726,16 @@ mod tests {
         )
         .with_sparsity(0.3, 0.5);
         let spec = |kind| CellSpec::new(w.clone(), kind, MachineConfig::default(), 11);
+        let custom = CellSpec::custom(w.clone(), CoreConfig::baseline(), MachineConfig::default(), 11);
         let cells = vec![
             ("base".to_string(), spec(ConfigKind::Baseline)),
             ("save2".to_string(), spec(ConfigKind::Save2Vpu)),
             ("save2-again".to_string(), spec(ConfigKind::Save2Vpu)),
+            ("custom-base".to_string(), custom.clone()),
+            ("custom-base-again".to_string(), custom),
         ];
         let direct: Vec<u64> =
-            cells.iter().map(|(_, s)| s.run(None).unwrap().seconds.to_bits()).collect();
+            cells.iter().map(|(_, s)| s.run(None).unwrap().result.seconds.to_bits()).collect();
         let bits = |v: &[f64]| v.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
 
         let dir =
@@ -739,8 +749,10 @@ mod tests {
         let sup = Supervisor::start(false);
 
         let mut s = SweepSession::durable("batch", &cli, sup.handle()).unwrap();
-        let first = s.spec_seconds_batch(&cells);
+        let store = TraceStore::with_capacity(8);
+        let first = s.spec_seconds_in(&cells, &store);
         assert_eq!(bits(&first), direct, "batch must equal direct runs bit for bit");
+        assert_eq!(store.result_hits(), 2, "both repeats are answered from the memo");
         assert!(s.is_clean(), "{}", s.report());
         drop(s);
 

@@ -126,6 +126,13 @@ impl CellRecord {
     pub fn ok(&self) -> bool {
         self.error_kind.is_empty()
     }
+
+    /// The error a resumed sweep reports for a journaled failure: a
+    /// permanent [`SimError::Journaled`] that keeps the original error's
+    /// kind, so the cell fails fast instead of being retried.
+    pub fn journaled_error(&self) -> SimError {
+        SimError::Journaled { kind: self.error_kind.clone() }
+    }
 }
 
 /// An open checkpoint directory: validated manifest, loaded journal, and

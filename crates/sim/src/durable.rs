@@ -98,9 +98,8 @@ pub struct CellRun<T> {
 
 /// Runs one cell under the policy. `what` names the cell in errors; `job`
 /// is its index (used for panic attribution). The closure receives the
-/// attempt's cancel token — thread it into
-/// [`crate::runner::run_kernel_cancel`] so deadlines and Ctrl-C can stop
-/// the simulated core mid-run.
+/// attempt's cancel token — thread it into [`crate::spec::CellSpec::run`]
+/// so deadlines and Ctrl-C can stop the simulated core mid-run.
 pub fn run_cell<T>(
     sup: &SupervisorHandle,
     policy: &RetryPolicy,

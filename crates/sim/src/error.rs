@@ -100,6 +100,13 @@ pub enum SimError {
         /// Which gate missed, with the measured and required values.
         what: String,
     },
+    /// A cell that failed in an earlier run of a checkpointed sweep,
+    /// restored from the journal on resume instead of being re-run (see
+    /// [`crate::checkpoint::CellRecord::journaled_error`]).
+    Journaled {
+        /// The original error's [`SimError::kind`] tag.
+        kind: String,
+    },
 }
 
 /// How a durable sweep should react to a failed cell (DESIGN.md §5f).
@@ -118,8 +125,10 @@ pub enum RetryClass {
 }
 
 impl SimError {
-    /// Short machine-readable tag for tables and filenames.
-    pub fn kind(&self) -> &'static str {
+    /// Short machine-readable tag for tables and filenames. A
+    /// [`SimError::Journaled`] failure reports the tag of the error it
+    /// was journaled with.
+    pub fn kind(&self) -> &str {
         match self {
             SimError::VerifyMismatch { .. } => "verify-mismatch",
             SimError::CycleBudgetExceeded { .. } => "cycle-budget",
@@ -131,6 +140,7 @@ impl SimError {
             SimError::DeadlineExceeded { .. } => "deadline",
             SimError::Protocol { .. } => "protocol",
             SimError::GateMiss { .. } => "gate",
+            SimError::Journaled { kind } => kind,
         }
     }
 
@@ -154,6 +164,9 @@ impl SimError {
     ///   does not serialize stays that way.
     /// * [`SimError::GateMiss`] is [`RetryClass::Permanent`]: it is the
     ///   verdict of a completed measurement.
+    /// * [`SimError::Journaled`] is [`RetryClass::Permanent`] whatever its
+    ///   original kind: a resumed sweep reports the journaled verdict
+    ///   rather than spending the cell's attempts again.
     pub fn retry_class(&self) -> RetryClass {
         match self {
             SimError::VerifyMismatch { .. } => RetryClass::Permanent,
@@ -166,6 +179,7 @@ impl SimError {
             SimError::Cancelled { .. } => RetryClass::Cancelled,
             SimError::Protocol { .. } => RetryClass::Permanent,
             SimError::GateMiss { .. } => RetryClass::Permanent,
+            SimError::Journaled { .. } => RetryClass::Permanent,
         }
     }
 }
@@ -205,6 +219,9 @@ impl std::fmt::Display for SimError {
             }
             SimError::Protocol { what } => write!(f, "protocol error: {what}"),
             SimError::GateMiss { what } => write!(f, "gate missed: {what}"),
+            SimError::Journaled { kind } => {
+                write!(f, "failed in a previous run (journaled as {kind}); not re-run")
+            }
         }
     }
 }
@@ -291,11 +308,15 @@ mod tests {
             SimError::DeadlineExceeded { what: "cell (0.5, 0.5)".into(), millis: 250 },
             SimError::Protocol { what: "serialize workload".into() },
             SimError::GateMiss { what: "speedup 1.1x below the 2.0x floor".into() },
+            SimError::Journaled { kind: "invalid-config".into() },
+            SimError::Journaled { kind: "deadline".into() },
         ]
     }
 
-    /// The retry-class table asserted per `kind()` tag (ISSUE 6 satellite):
-    /// every variant appears exactly once and maps to the documented class.
+    /// The retry-class table, one row per [`one_of_each`] sample in order:
+    /// every variant appears and maps to its `kind()` tag and the
+    /// documented class. Journaled failures keep their original tag but
+    /// are permanent even when that tag's own class is transient.
     #[test]
     fn retry_classification() {
         let expected: &[(&str, RetryClass)] = &[
@@ -309,6 +330,8 @@ mod tests {
             ("deadline", RetryClass::Transient),
             ("protocol", RetryClass::Permanent),
             ("gate", RetryClass::Permanent),
+            ("invalid-config", RetryClass::Permanent),
+            ("deadline", RetryClass::Permanent),
         ];
         let samples = one_of_each();
         assert_eq!(
@@ -316,12 +339,9 @@ mod tests {
             expected.len(),
             "every SimError variant needs a row in the classification table"
         );
-        for e in &samples {
-            let (_, want) = expected
-                .iter()
-                .find(|(kind, _)| *kind == e.kind())
-                .unwrap_or_else(|| panic!("no expected class for kind {:?}", e.kind()));
-            assert_eq!(e.retry_class(), *want, "wrong class for {:?}", e.kind());
+        for (e, (kind, want)) in samples.iter().zip(expected) {
+            assert_eq!(e.kind(), *kind, "wrong kind for {e:?}");
+            assert_eq!(e.retry_class(), *want, "wrong class for {e:?}");
         }
     }
 

@@ -3,9 +3,10 @@
 //! This crate ties the core model, memory hierarchy, kernels and sparsity
 //! models into the paper's evaluation methodology (§VI):
 //!
-//! 1. [`runner`] executes one kernel on one simulated machine operating
-//!    point (baseline 2 VPUs @ 1.7 GHz, SAVE 2 VPUs @ 1.7 GHz, SAVE 1 VPU @
-//!    2.1 GHz) in either the fast *symmetric* 28-core mode or the
+//! 1. [`CellSpec::run`] executes one kernel on one simulated machine
+//!    operating point (baseline 2 VPUs @ 1.7 GHz, SAVE 2 VPUs @ 1.7 GHz,
+//!    SAVE 1 VPU @ 2.1 GHz, or an ablation's [`save_core::CoreConfig`]) in
+//!    either the fast *symmetric* 28-core mode ([`runner`]) or the
 //!    [`multicore`] *detailed* mode that cycle-interleaves real cores over
 //!    the shared NUCA L3 + mesh + DRAM;
 //! 2. [`surface`] sweeps a kernel over a 2-D grid of (broadcasted,
@@ -42,6 +43,7 @@ pub mod spec;
 pub mod surface;
 pub mod trace;
 
+
 pub use cancel::{CancelToken, Supervisor, SupervisorHandle, WatchGuard};
 pub use checkpoint::{fsck_journal, CellRecord, Checkpoint, FsckReport, SweepManifest};
 pub use durable::{
@@ -66,3 +68,24 @@ pub use runner::{
 };
 pub use surface::{DurableSweep, Surface, SweepOutcome};
 pub use trace::{trace_key, TraceStore};
+
+/// Unit-test fixtures shared by the modules of this crate.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
+
+    /// A dense FP32 explicit-broadcast GEMM named `name`: an
+    /// `m_tiles`×`n_vecs` register block, reduction length `k` over
+    /// `tiles` tiles, at sparsity `(a, b)`.
+    pub(crate) fn gemm(
+        name: &str,
+        (m_tiles, n_vecs): (usize, usize),
+        k: usize,
+        tiles: usize,
+        (a, b): (f64, f64),
+    ) -> GemmWorkload {
+        let pattern = BroadcastPattern::Explicit;
+        let spec = GemmKernelSpec { m_tiles, n_vecs, pattern, precision: Precision::F32 };
+        GemmWorkload::dense(name, spec, k, tiles).with_sparsity(a, b)
+    }
+}

@@ -23,29 +23,6 @@ use save_core::{Core, CoreConfig, RunOutcome};
 use save_kernels::BuiltKernel;
 use save_mem::{CoreMemory, Uncore, UncoreAccess};
 
-/// Runs `w` on every core of a detailed machine under an arbitrary core
-/// configuration; returns the slowest core's result (with its stats). The
-/// optional cancel token's flag is shared by every simulated core, so one
-/// latch stops the whole machine within a cancel quantum.
-///
-/// # Errors
-/// [`SimError::InvalidConfig`] for a rejected operating point,
-/// [`SimError::VerifyMismatch`] (tagged with the offending core) if
-/// `verify` is set and any core's output disagrees with its reference,
-/// [`SimError::InvariantViolation`] (tagged with the offending core) if a
-/// core's sanitizer aborted the run, and [`SimError::CycleBudgetExceeded`]
-/// with the first stalled core's diagnosis if any core fails to drain.
-pub(crate) fn run_multicore_custom_cancel(
-    w: &save_kernels::GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    run_multicore_full(w, core_cfg, machine, seed, verify, cancel).map(|r| r.result)
-}
-
 /// One simulated core with everything it needs to run: the core, its
 /// private memory, its own built kernel and (once done) its outcome. Both
 /// the lockstep and relaxed engines drive a `Vec<Lane>`.
@@ -162,8 +139,19 @@ fn run_lockstep(lanes: &mut [Lane], uncore: &mut Uncore) {
     }
 }
 
-/// [`run_multicore_custom_cancel`] returning the full [`KernelRun`] with
-/// the uncore contention report.
+/// Runs `w` on every core of a detailed machine under an arbitrary core
+/// configuration; returns the slowest core's result (with its stats) and
+/// the uncore contention report. The optional cancel token's flag is shared
+/// by every simulated core, so one latch stops the whole machine within a
+/// cancel quantum.
+///
+/// # Errors
+/// [`SimError::InvalidConfig`] for a rejected operating point,
+/// [`SimError::VerifyMismatch`] (tagged with the offending core) if
+/// `verify` is set and any core's output disagrees with its reference,
+/// [`SimError::InvariantViolation`] (tagged with the offending core) if a
+/// core's sanitizer aborted the run, and [`SimError::CycleBudgetExceeded`]
+/// with the first stalled core's diagnosis if any core fails to drain.
 pub(crate) fn run_multicore_full(
     w: &save_kernels::GemmWorkload,
     core_cfg: &CoreConfig,
@@ -275,28 +263,19 @@ fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_kernel, ConfigKind, MachineMode};
-    use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
+    use crate::runner::{ConfigKind, MachineMode};
+    use crate::spec::CellSpec;
+    use save_kernels::GemmWorkload;
 
     fn tiny() -> GemmWorkload {
-        GemmWorkload::dense(
-            "mc",
-            GemmKernelSpec {
-                m_tiles: 4,
-                n_vecs: 2,
-                pattern: BroadcastPattern::Explicit,
-                precision: Precision::F32,
-            },
-            16,
-            2,
-        )
-        .with_sparsity(0.2, 0.4)
+        crate::testutil::gemm("mc", (4, 2), 16, 2, (0.2, 0.4))
     }
 
     #[test]
     fn four_core_detailed_run_is_correct() {
         let m = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
-        let r = run_kernel(&tiny(), ConfigKind::Save2Vpu, &m, 3, true).unwrap();
+        let spec = CellSpec::new(tiny(), ConfigKind::Save2Vpu, m, 3).with_verify(true);
+        let r = spec.run(None).unwrap().result;
         assert!(r.completed && r.verified);
     }
 
@@ -310,8 +289,8 @@ mod tests {
         };
         let m1 = MachineConfig { cores: 1, mode: MachineMode::Detailed, ..Default::default() };
         let m8 = MachineConfig { cores: 8, mode: MachineMode::Detailed, ..Default::default() };
-        let r1 = run_kernel(&w, ConfigKind::Baseline, &m1, 5, false).unwrap();
-        let r8 = run_kernel(&w, ConfigKind::Baseline, &m8, 5, false).unwrap();
+        let r1 = CellSpec::new(w.clone(), ConfigKind::Baseline, m1, 5).run(None).unwrap().result;
+        let r8 = CellSpec::new(w, ConfigKind::Baseline, m8, 5).run(None).unwrap().result;
         assert!(r8.cycles >= r1.cycles, "8-core {} vs 1-core {}", r8.cycles, r1.cycles);
     }
 
@@ -321,8 +300,8 @@ mod tests {
         // detailed mode for a compute-bound kernel.
         let md = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
         let ms = MachineConfig { cores: 4, mode: MachineMode::Symmetric, ..Default::default() };
-        let rd = run_kernel(&tiny(), ConfigKind::Baseline, &md, 9, false).unwrap();
-        let rs = run_kernel(&tiny(), ConfigKind::Baseline, &ms, 9, false).unwrap();
+        let rd = CellSpec::new(tiny(), ConfigKind::Baseline, md, 9).run(None).unwrap().result;
+        let rs = CellSpec::new(tiny(), ConfigKind::Baseline, ms, 9).run(None).unwrap().result;
         let ratio = rd.seconds / rs.seconds;
         assert!((0.5..2.0).contains(&ratio), "detailed/symmetric ratio {ratio:.2}");
     }
@@ -331,7 +310,7 @@ mod tests {
     fn quantum_zero_is_rejected() {
         let mut m = MachineConfig { cores: 2, mode: MachineMode::Detailed, ..Default::default() };
         m.mc.quantum = 0;
-        let err = run_kernel(&tiny(), ConfigKind::Baseline, &m, 1, false).unwrap_err();
+        let err = CellSpec::new(tiny(), ConfigKind::Baseline, m, 1).run(None).unwrap_err();
         match err {
             SimError::InvalidConfig { what } => assert!(what.contains("quantum"), "{what}"),
             other => panic!("expected InvalidConfig, got {other}"),

@@ -106,22 +106,12 @@ pub(crate) fn run_relaxed(lanes: &mut [Lane], uncore: &mut Uncore, quantum: u64,
 
 #[cfg(test)]
 mod tests {
-    use crate::runner::{run_kernel, ConfigKind, MachineConfig, MachineMode};
-    use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
+    use crate::runner::{ConfigKind, KernelResult, MachineConfig, MachineMode};
+    use crate::spec::CellSpec;
+    use save_kernels::GemmWorkload;
 
     fn tiny() -> GemmWorkload {
-        GemmWorkload::dense(
-            "relaxed",
-            GemmKernelSpec {
-                m_tiles: 4,
-                n_vecs: 2,
-                pattern: BroadcastPattern::Explicit,
-                precision: Precision::F32,
-            },
-            16,
-            2,
-        )
-        .with_sparsity(0.2, 0.4)
+        crate::testutil::gemm("relaxed", (4, 2), 16, 2, (0.2, 0.4))
     }
 
     fn machine(cores: usize, quantum: u64, threads: usize) -> MachineConfig {
@@ -132,22 +122,26 @@ mod tests {
         m
     }
 
+    fn spec(kind: ConfigKind, machine: MachineConfig, seed: u64) -> CellSpec {
+        CellSpec::new(tiny(), kind, machine, seed)
+    }
+
+    fn result(spec: CellSpec) -> KernelResult {
+        spec.run(None).unwrap().result
+    }
+
     #[test]
     fn relaxed_run_completes_and_verifies() {
-        let r = run_kernel(&tiny(), ConfigKind::Save2Vpu, &machine(4, 200, 1), 3, true)
-            .unwrap();
+        let r = result(spec(ConfigKind::Save2Vpu, machine(4, 200, 1), 3).with_verify(true));
         assert!(r.completed && r.verified);
         assert!(r.cycles > 0);
     }
 
     #[test]
     fn thread_count_never_changes_results() {
-        let base = run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 128, 1), 7, false)
-            .unwrap();
+        let base = result(spec(ConfigKind::Baseline, machine(4, 128, 1), 7));
         for threads in [2, 4, 7] {
-            let r =
-                run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 128, threads), 7, false)
-                    .unwrap();
+            let r = result(spec(ConfigKind::Baseline, machine(4, 128, threads), 7));
             assert_eq!(r.cycles, base.cycles, "threads={threads}");
             assert_eq!(
                 r.seconds.to_bits(),
@@ -162,10 +156,8 @@ mod tests {
         // Relaxed timing may drift from lockstep, but only within the
         // bounded in-quantum error — a generous band catches protocol bugs
         // (e.g. lost requests) without pinning the exact drift.
-        let lock = run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 1, 0), 11, false)
-            .unwrap();
-        let rel = run_kernel(&tiny(), ConfigKind::Baseline, &machine(4, 1000, 1), 11, false)
-            .unwrap();
+        let lock = result(spec(ConfigKind::Baseline, machine(4, 1, 0), 11));
+        let rel = result(spec(ConfigKind::Baseline, machine(4, 1000, 1), 11));
         let ratio = rel.cycles as f64 / lock.cycles as f64;
         assert!((0.7..1.3).contains(&ratio), "relaxed/lockstep cycle ratio {ratio:.3}");
     }

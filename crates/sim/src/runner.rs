@@ -2,7 +2,8 @@
 
 use crate::cancel::CancelToken;
 use crate::error::SimError;
-use save_core::{Core, CoreConfig, CoreStats, SchedulerKind};
+use crate::spec::CellSpec;
+use save_core::{Core, CoreConfig, CoreStats};
 use save_isa::Memory;
 use save_kernels::{BuiltKernel, GemmWorkload, Region, RegionRole};
 use save_mem::{CoreMemory, MemConfig, Uncore, UncoreReport, WarmLevel};
@@ -163,49 +164,10 @@ pub fn warm_regions(
     }
 }
 
-/// Runs `w` on the machine at the given operating point.
-///
-/// In [`MachineMode::Symmetric`] one core is simulated against its share of
-/// the uncore; in [`MachineMode::Detailed`] this delegates to the
-/// [`crate::multicore`] engines and reports the slowest core.
-///
-/// # Errors
-/// * [`SimError::InvalidConfig`] if the operating point fails validation;
-/// * [`SimError::VerifyMismatch`] if `verify` is set and the kernel's
-///   numerical output disagrees with the reference (always a simulator bug);
-/// * [`SimError::CycleBudgetExceeded`] if the run hits the cycle budget or
-///   the retire-progress watchdog — the error carries a
-///   [`save_core::StallDiag`] naming the stalled resource;
-/// * [`SimError::InvariantViolation`] if the cycle-level sanitizer
-///   ([`save_core::SanitizeLevel`], `SAVE_SANITIZE`) aborted the run — the
-///   error carries the [`save_core::SanitizerReport`] witness.
-pub fn run_kernel(
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_kernel_cancel(w, kind, machine, seed, verify, None)
-}
-
-/// [`run_kernel`] with an optional cooperative cancel token. When the token
-/// latches (Ctrl-C, a per-cell deadline), the simulated core stops at its
-/// next [`save_core::CANCEL_QUANTUM`] boundary and this returns
-/// [`SimError::Cancelled`] — no partial [`KernelResult`] escapes.
-pub fn run_kernel_cancel(
-    w: &GemmWorkload,
-    kind: ConfigKind,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    run_kernel_custom_cancel(w, &kind.core_config(), machine, seed, verify, cancel)
-}
-
-/// [`run_kernel_cancel`] that additionally returns the uncore contention
-/// report (see [`KernelRun`]). Same errors and timing semantics.
+/// Runs `w` at a named operating point and returns the run with its uncore
+/// report: [`CellSpec::run`] over the equivalent spec. Kept with this
+/// signature for the `perfbench` benchmark; code in this workspace builds a
+/// [`CellSpec`] instead.
 pub fn run_kernel_full(
     w: &GemmWorkload,
     kind: ConfigKind,
@@ -214,50 +176,7 @@ pub fn run_kernel_full(
     verify: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<KernelRun, SimError> {
-    match machine.mode {
-        MachineMode::Detailed => crate::multicore::run_multicore_full(
-            w,
-            &kind.core_config(),
-            machine,
-            seed,
-            verify,
-            cancel,
-        ),
-        MachineMode::Symmetric => {
-            build_and_run_symmetric(w, &kind.core_config(), machine, seed, verify, cancel)
-        }
-    }
-}
-
-/// Like [`run_kernel`] but with an arbitrary core configuration — used by
-/// the ablation studies (Figs 17-19) that toggle individual SAVE features.
-/// Respects `machine.mode` like [`run_kernel`] does.
-pub fn run_kernel_custom(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-) -> Result<KernelResult, SimError> {
-    run_kernel_custom_cancel(w, core_cfg, machine, seed, verify, None)
-}
-
-/// [`run_kernel_custom`] with an optional cooperative cancel token (see
-/// [`run_kernel_cancel`]).
-pub fn run_kernel_custom_cancel(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelResult, SimError> {
-    if machine.mode == MachineMode::Detailed {
-        return crate::multicore::run_multicore_custom_cancel(
-            w, core_cfg, machine, seed, verify, cancel,
-        );
-    }
-    build_and_run_symmetric(w, core_cfg, machine, seed, verify, cancel).map(|r| r.result)
+    CellSpec::new(w.clone(), kind, *machine, seed).with_verify(verify).run(cancel)
 }
 
 /// The symmetric-mode engine: one core runs `kernel`'s program against
@@ -331,50 +250,21 @@ pub(crate) fn run_symmetric(
     })
 }
 
-/// Builds `w` for `seed` and runs it on the symmetric machine (the kernel's
-/// own memory is the run's memory: nothing else will use it).
-fn build_and_run_symmetric(
-    w: &GemmWorkload,
-    core_cfg: &CoreConfig,
-    machine: &MachineConfig,
-    seed: u64,
-    verify: bool,
-    cancel: Option<&CancelToken>,
-) -> Result<KernelRun, SimError> {
-    let mut built = w.build(seed);
-    let mut mem = std::mem::take(&mut built.mem);
-    run_symmetric(w, core_cfg, machine, &built, &mut mem, verify, cancel)
-}
-
-/// Sanity helper used by tests: the scheduler kind of an operating point.
-pub fn scheduler_of(kind: ConfigKind) -> SchedulerKind {
-    kind.core_config().scheduler
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use save_kernels::{BroadcastPattern, GemmKernelSpec, Precision};
 
     fn tiny() -> GemmWorkload {
-        GemmWorkload::dense(
-            "tiny",
-            GemmKernelSpec {
-                m_tiles: 4,
-                n_vecs: 2,
-                pattern: BroadcastPattern::Explicit,
-                precision: Precision::F32,
-            },
-            16,
-            2,
-        )
-        .with_sparsity(0.3, 0.3)
+        crate::testutil::gemm("tiny", (4, 2), 16, 2, (0.3, 0.3))
+    }
+
+    fn spec(cfg: CoreConfig, seed: u64) -> CellSpec {
+        CellSpec::custom(tiny(), cfg, MachineConfig::default(), seed)
     }
 
     #[test]
     fn symmetric_run_verifies_and_times() {
-        let r = run_kernel(&tiny(), ConfigKind::Save2Vpu, &MachineConfig::default(), 1, true)
-            .unwrap();
+        let r = spec(CoreConfig::save_2vpu(), 1).with_verify(true).run(None).unwrap().result;
         assert!(r.completed && r.verified);
         assert!(r.seconds > 0.0);
         assert_eq!(r.stats.fma_uops, tiny().fma_count());
@@ -383,9 +273,7 @@ mod tests {
     #[test]
     fn invalid_operating_point_is_rejected_up_front() {
         let bad = CoreConfig { num_vpus: 0, ..CoreConfig::default() };
-        let err = run_kernel_custom(&tiny(), &bad, &MachineConfig::default(), 1, false)
-            .unwrap_err();
-        match err {
+        match spec(bad, 1).run(None).unwrap_err() {
             SimError::InvalidConfig { what } => assert!(what.contains("num_vpus"), "{what}"),
             other => panic!("expected InvalidConfig, got {other}"),
         }
@@ -394,9 +282,7 @@ mod tests {
     #[test]
     fn cycle_budget_overrun_carries_a_stall_diag() {
         let starved = CoreConfig { max_cycles: 20, ..CoreConfig::default() };
-        let err = run_kernel_custom(&tiny(), &starved, &MachineConfig::default(), 1, false)
-            .unwrap_err();
-        match err {
+        match spec(starved, 1).run(None).unwrap_err() {
             SimError::CycleBudgetExceeded { kernel, diag, .. } => {
                 assert_eq!(kernel, "tiny");
                 assert_eq!(diag.cause, save_core::StallCause::CycleBudget);
@@ -411,15 +297,16 @@ mod tests {
         assert_eq!(ConfigKind::Baseline.core_config().freq_ghz, 1.7);
         assert_eq!(ConfigKind::Save1Vpu.core_config().freq_ghz, 2.1);
         assert_eq!(ConfigKind::Save1Vpu.core_config().num_vpus, 1);
-        assert_eq!(scheduler_of(ConfigKind::Baseline), SchedulerKind::Baseline);
+        assert_eq!(
+            ConfigKind::Baseline.core_config().scheduler,
+            save_core::SchedulerKind::Baseline
+        );
     }
 
     #[test]
     fn deterministic_across_repeats() {
-        let a = run_kernel(&tiny(), ConfigKind::Save1Vpu, &MachineConfig::default(), 7, false)
-            .unwrap();
-        let b = run_kernel(&tiny(), ConfigKind::Save1Vpu, &MachineConfig::default(), 7, false)
-            .unwrap();
+        let a = spec(CoreConfig::save_1vpu(), 7).run(None).unwrap().result;
+        let b = spec(CoreConfig::save_1vpu(), 7).run(None).unwrap().result;
         assert_eq!(a.cycles, b.cycles);
     }
 }

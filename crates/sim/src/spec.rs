@@ -17,9 +17,8 @@
 use crate::cancel::CancelToken;
 use crate::checkpoint::fnv1a;
 use crate::error::SimError;
-use crate::runner::{
-    run_kernel_custom_cancel, run_symmetric, ConfigKind, KernelResult, MachineConfig, MachineMode,
-};
+use crate::multicore::run_multicore_full;
+use crate::runner::{run_symmetric, ConfigKind, KernelResult, KernelRun, MachineConfig, MachineMode};
 use crate::trace::TraceStore;
 use save_core::CoreConfig;
 use save_kernels::GemmWorkload;
@@ -79,6 +78,11 @@ impl CellSpec {
         }
     }
 
+    /// The same cell with numerical verification switched on or off.
+    pub fn with_verify(self, verify: bool) -> Self {
+        CellSpec { verify, ..self }
+    }
+
     /// Content address of the cell's *functional* work: everything shared
     /// by all timing configurations of this cell — the workload, the
     /// machine shape (mode + core count) and the data seed. Cells with
@@ -125,16 +129,39 @@ impl CellSpec {
         }
     }
 
-    /// Executes the cell, honouring an optional cooperative cancel token.
-    pub fn run(&self, cancel: Option<&CancelToken>) -> Result<KernelResult, SimError> {
-        run_kernel_custom_cancel(
-            &self.workload,
-            &self.core_config(),
-            &self.machine,
-            self.seed,
-            self.verify,
-            cancel,
-        )
+    /// Executes the cell and returns its result with the uncore contention
+    /// report. A [`MachineMode::Symmetric`] cell builds its kernel and runs
+    /// one core against its 1/N share of the uncore; a
+    /// [`MachineMode::Detailed`] cell runs every core through the
+    /// [`crate::multicore`] engines and reports the slowest. When `cancel`
+    /// latches (Ctrl-C, a per-cell deadline), the simulated cores stop at
+    /// their next [`save_core::CANCEL_QUANTUM`] boundary.
+    ///
+    /// # Errors
+    /// * [`SimError::InvalidConfig`] if the operating point fails validation;
+    /// * [`SimError::VerifyMismatch`] if [`CellSpec::verify`] is set and the
+    ///   kernel's numerical output disagrees with the reference (always a
+    ///   simulator bug);
+    /// * [`SimError::CycleBudgetExceeded`] if the run hits the cycle budget
+    ///   or the retire-progress watchdog — the error carries a
+    ///   [`save_core::StallDiag`] naming the stalled resource;
+    /// * [`SimError::InvariantViolation`] if the cycle-level sanitizer
+    ///   aborted the run — the error carries the
+    ///   [`save_core::SanitizerReport`] witness;
+    /// * [`SimError::Cancelled`] if `cancel` latched before the run drained.
+    pub fn run(&self, cancel: Option<&CancelToken>) -> Result<KernelRun, SimError> {
+        let (w, cfg) = (&self.workload, self.core_config());
+        match self.machine.mode {
+            MachineMode::Detailed => {
+                run_multicore_full(w, &cfg, &self.machine, self.seed, self.verify, cancel)
+            }
+            MachineMode::Symmetric => {
+                // A fresh build: its own memory is the run's memory.
+                let mut built = w.build(self.seed);
+                let mut mem = std::mem::take(&mut built.mem);
+                run_symmetric(w, &cfg, &self.machine, &built, &mut mem, self.verify, cancel)
+            }
+        }
     }
 
     /// Executes the cell through a [`TraceStore`]. Cells whose full
@@ -160,7 +187,7 @@ impl CellSpec {
             return Ok(memo);
         }
         let result = match self.machine.mode {
-            MachineMode::Detailed => self.run(cancel)?,
+            MachineMode::Detailed => self.run(cancel)?.result,
             MachineMode::Symmetric => {
                 let key = self.trace_key()?;
                 let (kernel, admit) = match store.get(key) {
@@ -194,21 +221,9 @@ impl CellSpec {
 mod tests {
     use super::*;
     use crate::surface::Surface;
-    use save_kernels::{BroadcastPattern, GemmKernelSpec, Precision};
 
     fn tiny() -> GemmWorkload {
-        GemmWorkload::dense(
-            "tiny",
-            GemmKernelSpec {
-                m_tiles: 4,
-                n_vecs: 2,
-                pattern: BroadcastPattern::Explicit,
-                precision: Precision::F32,
-            },
-            16,
-            2,
-        )
-        .with_sparsity(0.3, 0.3)
+        crate::testutil::gemm("tiny", (4, 2), 16, 2, (0.3, 0.3))
     }
 
     #[test]
@@ -247,6 +262,29 @@ mod tests {
         assert_eq!(spec.cache_key().unwrap(), back.cache_key().unwrap());
     }
 
+    /// A named operating point and its core configuration stated as a
+    /// `Custom` cell are the same cell to the simulator: equal seconds
+    /// bits, cycles, `CoreStats` and uncore report on both machine modes.
+    /// The ratio binaries state their baselines as `Custom` cells while
+    /// fig15/fig16 use `Kind` cells, so their figures rest on this.
+    #[test]
+    fn custom_config_matches_its_named_kind() {
+        let detailed = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
+        for machine in [MachineConfig::default(), detailed] {
+            for kind in ConfigKind::ALL {
+                let named = CellSpec::new(tiny(), kind, machine, 5).run(None).unwrap();
+                let custom =
+                    CellSpec::custom(tiny(), kind.core_config(), machine, 5).run(None).unwrap();
+                let what = format!("{kind:?} on {:?}", machine.mode);
+                assert_eq!(named.result.seconds.to_bits(), custom.result.seconds.to_bits(), "{what}");
+                assert_eq!(named.result.cycles, custom.result.cycles, "{what}");
+                assert_eq!(named.result.stats, custom.result.stats, "{what}");
+                let report = |r: &KernelRun| format!("{:?}", r.uncore);
+                assert_eq!(report(&named), report(&custom), "{what}: uncore report");
+            }
+        }
+    }
+
     /// The bit-identity contract: a spec built with [`Surface::point_seed`]
     /// reproduces the exact bits a [`Surface::sweep`] records for the same
     /// grid point — this is what lets a spec batch stand in for a sweep.
@@ -263,7 +301,7 @@ mod tests {
             MachineConfig::default(),
             Surface::point_seed(a, b),
         );
-        let run = spec.run(None).unwrap();
+        let run = spec.run(None).unwrap().result;
         assert_eq!(
             run.seconds.to_bits(),
             surf.secs[0].to_bits(),

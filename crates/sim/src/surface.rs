@@ -12,7 +12,8 @@ use crate::checkpoint::{CellRecord, Checkpoint, SweepManifest};
 use crate::durable::{run_cell, RetryPolicy};
 use crate::error::SimError;
 use crate::parallel::{parallel_try_map, parallel_try_map_cancel, FailureReport, JobFailure};
-use crate::runner::{run_kernel, run_kernel_cancel, ConfigKind, MachineConfig};
+use crate::runner::{ConfigKind, MachineConfig};
+use crate::spec::CellSpec;
 use save_kernels::GemmWorkload;
 use serde::{Deserialize, Serialize};
 use std::path::Path;
@@ -27,6 +28,11 @@ pub fn paper_grid() -> Vec<f64> {
 /// the gaps exactly as the methodology prescribes.
 pub fn coarse_grid() -> Vec<f64> {
     vec![0.0, 0.2, 0.4, 0.6, 0.8, 0.9]
+}
+
+/// The grid's `(a, b)` points, `a`-major (the order of [`Surface::secs`]).
+fn grid_points(a_levels: &[f64], b_levels: &[f64]) -> Vec<(f64, f64)> {
+    a_levels.iter().flat_map(|&a| b_levels.iter().map(move |&b| (a, b))).collect()
 }
 
 /// Human-readable label for a grid cell, used in failure reports and
@@ -98,13 +104,9 @@ impl Surface {
         b_levels: &[f64],
         threads: usize,
     ) -> Result<Surface, SimError> {
-        let points: Vec<(f64, f64)> = a_levels
-            .iter()
-            .flat_map(|&a| b_levels.iter().map(move |&b| (a, b)))
-            .collect();
-        let secs = parallel_try_map(&points, threads, 0, |&(a, b)| {
-            let wk = w.clone().with_sparsity(a, b);
-            Ok(run_kernel(&wk, kind, machine, Self::point_seed(a, b), false)?.seconds)
+        let points = grid_points(a_levels, b_levels);
+        let secs = parallel_try_map(&points, threads, 0, |&p| {
+            Ok(Self::point_cell(w, kind, machine, p).run(None)?.result.seconds)
         })
         .into_iter()
         .collect::<Result<Vec<f64>, SimError>>()?;
@@ -119,6 +121,18 @@ impl Surface {
     /// sweep of the same grid.
     pub fn point_seed(a: f64, b: f64) -> u64 {
         ((a * 1000.0) as u64) << 20 | ((b * 1000.0) as u64) << 4
+    }
+
+    /// The cell [`Surface::sweep`] and [`Surface::sweep_durable`] run at
+    /// grid point `(a, b)`: `w` at that sparsity, seeded by
+    /// [`Surface::point_seed`].
+    fn point_cell(
+        w: &GemmWorkload,
+        kind: ConfigKind,
+        machine: &MachineConfig,
+        (a, b): (f64, f64),
+    ) -> CellSpec {
+        CellSpec::new(w.clone().with_sparsity(a, b), kind, *machine, Self::point_seed(a, b))
     }
 
     /// Durable counterpart of [`Surface::sweep`] (DESIGN.md §5f): each grid
@@ -148,10 +162,7 @@ impl Surface {
         threads: usize,
         opts: &DurableSweep<'_>,
     ) -> Result<SweepOutcome, SimError> {
-        let points: Vec<(f64, f64)> = a_levels
-            .iter()
-            .flat_map(|&a| b_levels.iter().map(move |&b| (a, b)))
-            .collect();
+        let points = grid_points(a_levels, b_levels);
         let manifest = SweepManifest::new(
             &opts.name,
             &format!("surface sweep of kernel {}", w.name),
@@ -191,12 +202,7 @@ impl Surface {
                             job: i,
                             label: Some(cell_label(points[i])),
                             attempts: rec.attempts as usize,
-                            error: SimError::Io {
-                                what: format!(
-                                    "journaled failure from a previous run (kind: {})",
-                                    rec.error_kind
-                                ),
-                            },
+                            error: rec.journaled_error(),
                         });
                     }
                 }
@@ -218,9 +224,9 @@ impl Surface {
         let results = parallel_try_map_cancel(&pending, threads, &global, |_, &i| {
             let (a, b) = points[i];
             let label = cell_label((a, b));
+            let cell = Self::point_cell(w, kind, machine, (a, b));
             let run = run_cell(opts.supervisor, &opts.policy, &label, i, |tok| {
-                let wk = w.clone().with_sparsity(a, b);
-                run_kernel_cancel(&wk, kind, machine, Self::point_seed(a, b), false, Some(tok))
+                Ok(cell.run(Some(tok))?.result)
             });
             let journal = |rec: CellRecord| -> Result<(), SimError> {
                 match &checkpoint {

@@ -166,21 +166,9 @@ impl TraceStore {
 mod tests {
     use super::*;
     use crate::runner::MachineMode;
-    use save_kernels::{BroadcastPattern, GemmKernelSpec, Precision};
 
     fn tiny() -> GemmWorkload {
-        GemmWorkload::dense(
-            "tk",
-            GemmKernelSpec {
-                m_tiles: 2,
-                n_vecs: 2,
-                pattern: BroadcastPattern::Explicit,
-                precision: Precision::F32,
-            },
-            16,
-            1,
-        )
-        .with_sparsity(0.5, 0.5)
+        crate::testutil::gemm("tk", (2, 2), 16, 1, (0.5, 0.5))
     }
 
     #[test]

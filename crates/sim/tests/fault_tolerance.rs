@@ -5,8 +5,7 @@
 
 use save_core::{CoreConfig, StallCause};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::{run_kernel, run_kernel_custom};
-use save_sim::{parallel_try_map, ConfigKind, FailureReport, MachineConfig, SimError};
+use save_sim::{parallel_try_map, CellSpec, ConfigKind, FailureReport, MachineConfig, SimError};
 
 fn tiny(name: &str) -> GemmWorkload {
     GemmWorkload::dense(
@@ -31,7 +30,8 @@ fn tiny(name: &str) -> GemmWorkload {
 fn watchdog_fires_and_diag_names_the_stalled_resource() {
     let cfg = CoreConfig { watchdog_cycles: 3, ..CoreConfig::default() };
     cfg.validate().expect("a tiny watchdog window is still a valid config");
-    let err = run_kernel_custom(&tiny("livelock"), &cfg, &MachineConfig::default(), 1, false)
+    let err = CellSpec::custom(tiny("livelock"), cfg, MachineConfig::default(), 1)
+        .run(None)
         .expect_err("a 3-cycle watchdog cannot survive a DRAM access");
     match err {
         SimError::CycleBudgetExceeded { kernel, core, diag } => {
@@ -66,7 +66,7 @@ fn invalid_operating_points_fail_fast() {
         (CoreConfig { issue_width: 0, ..CoreConfig::default() }, "issue_width"),
         (CoreConfig { rob_entries: 0, ..CoreConfig::default() }, "rob_entries"),
     ] {
-        match run_kernel_custom(&tiny("bad"), &cfg, &m, 1, false) {
+        match CellSpec::custom(tiny("bad"), cfg, m, 1).run(None) {
             Err(SimError::InvalidConfig { what }) => {
                 assert!(what.contains(field), "error {what:?} should name {field}")
             }
@@ -75,7 +75,7 @@ fn invalid_operating_points_fail_fast() {
     }
     let mut bad_mem = MachineConfig::default();
     bad_mem.mem.dram.channels = 0;
-    match run_kernel(&tiny("badmem"), ConfigKind::Baseline, &bad_mem, 1, false) {
+    match CellSpec::new(tiny("badmem"), ConfigKind::Baseline, bad_mem, 1).run(None) {
         Err(SimError::InvalidConfig { what }) => assert!(what.contains("dram.channels")),
         other => panic!("expected InvalidConfig for dram.channels, got {other:?}"),
     }
@@ -91,7 +91,8 @@ fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
         if s > 0.55 && s < 0.65 {
             panic!("injected failure at sparsity {s}");
         }
-        Ok(run_kernel(&tiny("iso"), ConfigKind::Save2Vpu, &m, (s * 100.0) as u64, false)?.cycles)
+        let seed = (s * 100.0) as u64;
+        Ok(CellSpec::new(tiny("iso"), ConfigKind::Save2Vpu, m, seed).run(None)?.result.cycles)
     });
     assert_eq!(results.len(), 8, "sweep must complete every slot");
     let errs: Vec<usize> =
@@ -135,7 +136,8 @@ fn sweep_with_panic_and_budget_overrun_completes_with_report() {
             panic!("kernel {} blew up", job.name);
         }
         let cfg = CoreConfig { max_cycles: job.max_cycles, ..CoreConfig::default() };
-        Ok(run_kernel_custom(&tiny(job.name), &cfg, &m, 7, true)?.cycles)
+        let spec = CellSpec::custom(tiny(job.name), cfg, m, 7).with_verify(true);
+        Ok(spec.run(None)?.result.cycles)
     });
     assert_eq!(results.len(), jobs.len(), "every slot must be filled");
 

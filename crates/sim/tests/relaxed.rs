@@ -17,10 +17,8 @@
 use proptest::prelude::*;
 use save_core::{CoreConfig, SanitizeLevel};
 use save_kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save_sim::runner::{
-    run_kernel_custom, run_kernel_full, ConfigKind, MachineConfig, MachineMode, MulticoreConfig,
-};
-use save_sim::{CellSpec, TraceStore};
+use save_sim::runner::{ConfigKind, MachineConfig, MachineMode, MulticoreConfig};
+use save_sim::{CellSpec, KernelResult, TraceStore};
 
 fn tiny(name: &str) -> GemmWorkload {
     GemmWorkload::dense(
@@ -50,6 +48,10 @@ fn full_sanitized(kind: ConfigKind) -> CoreConfig {
     CoreConfig { sanitize: SanitizeLevel::Full, ..kind.core_config() }
 }
 
+fn verified(spec: CellSpec, what: &str) -> KernelResult {
+    spec.with_verify(true).run(None).expect(what).result
+}
+
 /// Serializes a result to JSON so EVERY field (seconds bits via cycles,
 /// stats counters, flags) participates in the bit-identity comparison.
 fn fingerprint(r: &save_sim::KernelResult) -> String {
@@ -64,11 +66,10 @@ fn quantum_one_is_bit_identical_to_lockstep() {
     let w = tiny("q1-oracle");
     for kind in ConfigKind::ALL {
         let cfg = full_sanitized(kind);
-        let lockstep =
-            run_kernel_custom(&w, &cfg, &machine(4, 1, 0), 5, true).expect("lockstep");
+        let lockstep = verified(CellSpec::custom(w.clone(), cfg, machine(4, 1, 0), 5), "lockstep");
         for threads in [1usize, 4, 9] {
-            let relaxed = run_kernel_custom(&w, &cfg, &machine(4, 1, threads), 5, true)
-                .expect("quantum=1");
+            let spec = CellSpec::custom(w.clone(), cfg, machine(4, 1, threads), 5);
+            let relaxed = verified(spec, "quantum=1");
             assert_eq!(
                 fingerprint(&relaxed),
                 fingerprint(&lockstep),
@@ -86,8 +87,8 @@ fn full_sanitizer_accepts_relaxed_execution() {
     let w = tiny("relaxed-sanitized");
     for kind in ConfigKind::ALL {
         let cfg = full_sanitized(kind);
-        let r = run_kernel_custom(&w, &cfg, &machine(4, 300, 2), 13, true)
-            .expect("relaxed sanitized run");
+        let spec = CellSpec::custom(w.clone(), cfg, machine(4, 300, 2), 13);
+        let r = verified(spec, "relaxed sanitized run");
         assert!(r.completed && r.verified, "kind {kind:?}");
     }
 }
@@ -104,7 +105,7 @@ fn store_run_is_pure_under_relaxed() {
         21,
     );
     let store = TraceStore::new();
-    let direct = spec.run(None).expect("direct");
+    let direct = spec.run(None).expect("direct").result;
     let first = spec.run_traced(None, &store).expect("store run");
     let memo = spec.run_traced(None, &store).expect("memoized run");
     assert_eq!(store.result_hits(), 1, "the repeat is served from the memo");
@@ -121,7 +122,8 @@ fn contention_stats_surface_at_28_cores() {
         b_panel_tiles: 1, // stream B: guarantees DRAM + NoC traffic
         ..tiny("mesh-28")
     };
-    let run = run_kernel_full(&w, ConfigKind::Baseline, &machine(28, 500, 0), 3, false, None)
+    let run = CellSpec::new(w, ConfigKind::Baseline, machine(28, 500, 0), 3)
+        .run(None)
         .expect("28-core relaxed run");
     assert!(run.result.completed);
     let u = &run.uncore;
@@ -167,13 +169,14 @@ proptest! {
     fn host_threads_never_change_results(c in cell_strategy()) {
         let w = tiny("relaxed-prop").with_sparsity(c.a_sparsity, 0.3);
         let kind = ConfigKind::ALL[c.kind];
-        let base = run_kernel_custom(
-            &w, &kind.core_config(), &machine(c.cores, c.quantum, 1), c.seed, false,
-        ).expect("threads=1");
+        let run = |threads| {
+            let machine = machine(c.cores, c.quantum, threads);
+            let spec = CellSpec::custom(w.clone(), kind.core_config(), machine, c.seed);
+            spec.run(None).map(|r| r.result)
+        };
+        let base = run(1).expect("threads=1");
         for threads in [2usize, 5] {
-            let r = run_kernel_custom(
-                &w, &kind.core_config(), &machine(c.cores, c.quantum, threads), c.seed, false,
-            ).expect("threads>1");
+            let r = run(threads).expect("threads>1");
             prop_assert_eq!(&fingerprint(&r), &fingerprint(&base), "cell {:?} threads {}", c, threads);
         }
     }

@@ -98,7 +98,7 @@ fn assert_store_pure(w: &GemmWorkload, machine: &MachineConfig, seed: u64, kinds
             seed,
             verify: false,
         };
-        let direct = spec.run(None).expect("direct run");
+        let direct = spec.run(None).expect("direct run").result;
         let stored = spec.run_traced(None, &store).expect("store-backed run");
         assert_eq!(
             direct.seconds.to_bits(),
@@ -200,7 +200,7 @@ fn store_hands_out_pristine_kernels() {
     specs.push(CellSpec { verify: true, ..specs[2].clone() });
     for spec in &specs {
         let stored = spec.run_traced(None, &store).expect("store-backed run");
-        let direct = spec.run(None).expect("direct run");
+        let direct = spec.run(None).expect("direct run").result;
         assert_eq!(stored.seconds.to_bits(), direct.seconds.to_bits());
         assert_eq!(stored.cycles, direct.cycles);
         assert_eq!(stored.stats, direct.stats);
@@ -249,7 +249,7 @@ fn result_memo_and_renamed_workloads_stay_pure() {
     let alias = CellSpec::new(renamed, ConfigKind::Save2Vpu, machine, 11);
     assert_eq!(spec.trace_key().unwrap(), alias.trace_key().unwrap());
     let stored = alias.run_traced(None, &store).expect("alias store-backed");
-    let direct = alias.run(None).expect("alias direct");
+    let direct = alias.run(None).expect("alias direct").result;
     assert_eq!(stored.seconds.to_bits(), direct.seconds.to_bits());
     assert_eq!(stored.stats, direct.stats);
 }

@@ -4,8 +4,7 @@
 use save::core::CoreConfig;
 use save::kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Phase, Precision};
 use save::mem::MemConfig;
-use save::sim::runner::run_kernel;
-use save::sim::{ConfigKind, MachineConfig, MachineMode, Surface};
+use save::sim::{CellSpec, ConfigKind, MachineConfig, MachineMode, Surface};
 use save::sparsity::PruningSchedule;
 
 fn workload() -> GemmWorkload {
@@ -26,8 +25,8 @@ fn workload() -> GemmWorkload {
 #[test]
 fn symmetric_mode_is_deterministic() {
     let m = MachineConfig::default();
-    let a = run_kernel(&workload(), ConfigKind::Save2Vpu, &m, 77, true).unwrap();
-    let b = run_kernel(&workload(), ConfigKind::Save2Vpu, &m, 77, true).unwrap();
+    let spec = CellSpec::new(workload(), ConfigKind::Save2Vpu, m, 77).with_verify(true);
+    let (a, b) = (spec.run(None).unwrap().result, spec.run(None).unwrap().result);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.stats.vpu_ops, b.stats.vpu_ops);
     assert_eq!(a.stats.lanes_issued, b.stats.lanes_issued);
@@ -36,16 +35,19 @@ fn symmetric_mode_is_deterministic() {
 #[test]
 fn detailed_mode_is_deterministic() {
     let m = MachineConfig { cores: 3, mode: MachineMode::Detailed, ..Default::default() };
-    let a = run_kernel(&workload(), ConfigKind::Save1Vpu, &m, 99, true).unwrap();
-    let b = run_kernel(&workload(), ConfigKind::Save1Vpu, &m, 99, true).unwrap();
+    let spec = CellSpec::new(workload(), ConfigKind::Save1Vpu, m, 99).with_verify(true);
+    let (a, b) = (spec.run(None).unwrap().result, spec.run(None).unwrap().result);
     assert_eq!(a.cycles, b.cycles);
 }
 
 #[test]
 fn seeds_change_data_not_workload_shape() {
     let m = MachineConfig::default();
-    let a = run_kernel(&workload(), ConfigKind::Baseline, &m, 1, true).unwrap();
-    let b = run_kernel(&workload(), ConfigKind::Baseline, &m, 2, true).unwrap();
+    let run = |seed| {
+        let spec = CellSpec::new(workload(), ConfigKind::Baseline, m, seed);
+        spec.with_verify(true).run(None).unwrap().result
+    };
+    let (a, b) = (run(1), run(2));
     // Baseline timing is sparsity-insensitive; different data, same work.
     assert_eq!(a.stats.fma_uops, b.stats.fma_uops);
     assert!((a.cycles as f64 / b.cycles as f64 - 1.0).abs() < 0.05);

@@ -4,8 +4,10 @@
 
 use save::core::{CoreConfig, SchedulerKind};
 use save::kernels::{Phase, Precision};
-use save::sim::runner::{run_kernel, run_kernel_custom};
-use save::sim::{ConfigKind, Estimator, EstimatorConfig, MachineConfig, MachineMode, Network};
+use save::sim::{
+    CellSpec, ConfigKind, Estimator, EstimatorConfig, KernelResult, MachineConfig, MachineMode,
+    Network,
+};
 use save::sparsity::NetKind;
 
 fn small_workload(name: &str, phase: Phase, prec: Precision) -> save::kernels::GemmWorkload {
@@ -13,6 +15,14 @@ fn small_workload(name: &str, phase: Phase, prec: Precision) -> save::kernels::G
     w.tiles = 2;
     w.k_total = 48;
     w
+}
+
+fn verified(spec: CellSpec) -> KernelResult {
+    spec.with_verify(true).run(None).unwrap().result
+}
+
+fn seconds(spec: CellSpec) -> f64 {
+    spec.run(None).unwrap().result.seconds
 }
 
 #[test]
@@ -23,7 +33,7 @@ fn named_kernels_run_correctly_on_every_operating_point() {
             for prec in [Precision::F32, Precision::Mixed] {
                 let w = small_workload(name, phase, prec).with_sparsity(0.3, 0.5);
                 for kind in ConfigKind::ALL {
-                    let r = run_kernel(&w, kind, &machine, 5, true).unwrap();
+                    let r = verified(CellSpec::new(w.clone(), kind, machine, 5));
                     assert!(r.completed && r.verified, "{name} {phase} {prec} {kind:?}");
                 }
             }
@@ -39,7 +49,7 @@ fn detailed_multicore_matches_reference_for_lstm() {
     w.b_panel_tiles = 2;
     w.k_total = 32;
     let m = MachineConfig { cores: 4, mode: MachineMode::Detailed, ..Default::default() };
-    let r = run_kernel(&w, ConfigKind::Save2Vpu, &m, 11, true).unwrap();
+    let r = verified(CellSpec::new(w, ConfigKind::Save2Vpu, m, 11));
     assert!(r.completed && r.verified);
 }
 
@@ -47,16 +57,17 @@ fn detailed_multicore_matches_reference_for_lstm() {
 fn landmark_bs_and_nbs_both_deliver_speedup() {
     let machine = MachineConfig::default();
     let dense = small_workload("ResNet3_2", Phase::Forward, Precision::F32);
-    let t_dense = run_kernel(&dense, ConfigKind::Save2Vpu, &machine, 3, false).unwrap().seconds;
+    let cell = |w: &save::kernels::GemmWorkload, kind| CellSpec::new(w.clone(), kind, machine, 3);
+    let t_dense = seconds(cell(&dense, ConfigKind::Save2Vpu));
     let bs = dense.clone().with_sparsity(0.6, 0.0);
     let nbs = dense.clone().with_sparsity(0.0, 0.6);
-    let t_bs = run_kernel(&bs, ConfigKind::Save2Vpu, &machine, 3, false).unwrap().seconds;
-    let t_nbs = run_kernel(&nbs, ConfigKind::Save2Vpu, &machine, 3, false).unwrap().seconds;
+    let t_bs = seconds(cell(&bs, ConfigKind::Save2Vpu));
+    let t_nbs = seconds(cell(&nbs, ConfigKind::Save2Vpu));
     assert!(t_bs < t_dense * 0.9, "BS must speed up SAVE ({t_bs} vs {t_dense})");
     assert!(t_nbs < t_dense * 0.9, "NBS must speed up SAVE ({t_nbs} vs {t_dense})");
     // The baseline is insensitive to sparsity.
-    let b_dense = run_kernel(&dense, ConfigKind::Baseline, &machine, 3, false).unwrap().seconds;
-    let b_sparse = run_kernel(&nbs, ConfigKind::Baseline, &machine, 3, false).unwrap().seconds;
+    let b_dense = seconds(cell(&dense, ConfigKind::Baseline));
+    let b_sparse = seconds(cell(&nbs, ConfigKind::Baseline));
     assert!((b_dense / b_sparse - 1.0).abs() < 0.05, "baseline must not exploit sparsity");
 }
 
@@ -67,7 +78,7 @@ fn landmark_speedup_monotone_in_nbs() {
     let mut last = f64::INFINITY;
     for nbs in [0.0, 0.3, 0.6, 0.9] {
         let w = w0.clone().with_sparsity(0.0, nbs);
-        let t = run_kernel(&w, ConfigKind::Save2Vpu, &machine, 7, false).unwrap().seconds;
+        let t = seconds(CellSpec::new(w, ConfigKind::Save2Vpu, machine, 7));
         assert!(t <= last * 1.03, "time must not grow with sparsity (nbs={nbs})");
         last = t;
     }
@@ -78,15 +89,9 @@ fn hc_pays_latency_vc_preserves_lane_order() {
     // Horizontal compression must carry its +6-cycle crossbar penalty.
     let machine = MachineConfig::default();
     let w = small_workload("ResNet3_2", Phase::Forward, Precision::F32); // dense
-    let vc = run_kernel_custom(&w, &CoreConfig::save_2vpu(), &machine, 9, true).unwrap();
-    let hc = run_kernel_custom(
-        &w,
-        &CoreConfig { scheduler: SchedulerKind::Horizontal, ..CoreConfig::save_2vpu() },
-        &machine,
-        9,
-        true,
-    )
-    .unwrap();
+    let hc_cfg = CoreConfig { scheduler: SchedulerKind::Horizontal, ..CoreConfig::save_2vpu() };
+    let vc = verified(CellSpec::custom(w.clone(), CoreConfig::save_2vpu(), machine, 9));
+    let hc = verified(CellSpec::custom(w, hc_cfg, machine, 9));
     assert!(vc.verified && hc.verified);
     assert!(hc.cycles >= vc.cycles, "dense HC must not beat VC (no imbalance to fix)");
 }

@@ -4,8 +4,20 @@
 //! performance characters.
 
 use save::kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save::sim::runner::run_kernel;
-use save::sim::{ConfigKind, MachineConfig};
+use save::sim::{CellSpec, ConfigKind, KernelResult, MachineConfig};
+
+/// `w` at `kind` on the default machine, seeded with `seed`.
+fn cell(w: &GemmWorkload, kind: ConfigKind, seed: u64) -> CellSpec {
+    CellSpec::new(w.clone(), kind, MachineConfig::default(), seed)
+}
+
+fn run(spec: CellSpec) -> KernelResult {
+    spec.run(None).unwrap().result
+}
+
+fn verified(spec: CellSpec) -> KernelResult {
+    spec.with_verify(true).run(None).unwrap().result
+}
 
 fn explicit_spec() -> GemmKernelSpec {
     GemmKernelSpec {
@@ -22,14 +34,13 @@ fn software_bs_skip_helps_on_clustered_sparsity_only() {
     // (real ReLU activations) the branches predict well and it wins; with
     // uniform random zeros the mispredictions erase the benefit — while
     // SAVE's hardware skipping is insensitive to structure.
-    let machine = MachineConfig::default();
     let clustered = GemmWorkload {
         a_cluster: 16,
         ..GemmWorkload::dense("st", explicit_spec(), 48, 2).with_sparsity(0.6, 0.0)
     };
     let skipping = GemmWorkload { software_bs_skip: true, ..clustered.clone() };
-    let r_plain = run_kernel(&clustered, ConfigKind::Baseline, &machine, 3, true).unwrap();
-    let r_skip = run_kernel(&skipping, ConfigKind::Baseline, &machine, 3, true).unwrap();
+    let r_plain = verified(cell(&clustered, ConfigKind::Baseline, 3));
+    let r_skip = verified(cell(&skipping, ConfigKind::Baseline, 3));
     assert!(r_plain.completed && r_skip.completed);
     assert!(
         r_skip.cycles < r_plain.cycles,
@@ -43,15 +54,15 @@ fn software_bs_skip_helps_on_clustered_sparsity_only() {
     // skipping finds nothing to skip; SAVE still wins outright.
     let uniform = GemmWorkload::dense("st", explicit_spec(), 48, 2).with_sparsity(0.6, 0.0);
     let uskip = GemmWorkload { software_bs_skip: true, ..uniform.clone() };
-    let r_uplain = run_kernel(&uniform, ConfigKind::Baseline, &machine, 3, true).unwrap();
-    let r_uskip = run_kernel(&uskip, ConfigKind::Baseline, &machine, 3, true).unwrap();
+    let r_uplain = verified(cell(&uniform, ConfigKind::Baseline, 3));
+    let r_uskip = verified(cell(&uskip, ConfigKind::Baseline, 3));
     assert!(
         r_uskip.cycles as f64 >= r_uplain.cycles as f64 * 0.97,
         "uniform-random software skipping must not find meaningful gains: {} vs {}",
         r_uskip.cycles,
         r_uplain.cycles
     );
-    let r_usave = run_kernel(&uniform, ConfigKind::Save2Vpu, &machine, 3, true).unwrap();
+    let r_usave = verified(cell(&uniform, ConfigKind::Save2Vpu, 3));
     assert!(r_usave.cycles < r_uplain.cycles * 9 / 10, "SAVE is structure-insensitive");
 }
 
@@ -59,13 +70,12 @@ fn software_bs_skip_helps_on_clustered_sparsity_only() {
 fn software_bs_skip_cannot_touch_nbs_but_save_can() {
     // SparseTrain exploits broadcasted sparsity only (§VIII); with pure NBS
     // it skips nothing, while SAVE keeps its gain.
-    let machine = MachineConfig::default();
     let plain = GemmWorkload::dense("st", explicit_spec(), 48, 2).with_sparsity(0.0, 0.7);
     let skipping = GemmWorkload { software_bs_skip: true, ..plain.clone() };
-    let r_plain = run_kernel(&plain, ConfigKind::Baseline, &machine, 5, true).unwrap();
-    let r_skip = run_kernel(&skipping, ConfigKind::Baseline, &machine, 5, true).unwrap();
+    let r_plain = verified(cell(&plain, ConfigKind::Baseline, 5));
+    let r_skip = verified(cell(&skipping, ConfigKind::Baseline, 5));
     assert_eq!(r_skip.stats.fma_uops, r_plain.stats.fma_uops, "nothing to skip");
-    let r_save = run_kernel(&plain, ConfigKind::Save2Vpu, &machine, 5, true).unwrap();
+    let r_save = verified(cell(&plain, ConfigKind::Save2Vpu, 5));
     assert!(r_save.cycles < r_plain.cycles * 9 / 10);
 }
 
@@ -81,7 +91,6 @@ fn software_skipping_composes_with_save_by_freeing_the_front_end() {
     // tip an individual run a handful of cycles either way (the branch-skip
     // blocks perturb alignment). Sum over several seeds and allow a 1%
     // band so the assertion tests the trend, not one draw's noise.
-    let machine = MachineConfig::default();
     let mut sum_save = 0u64;
     let mut sum_both = 0u64;
     for seed in [7, 11, 13] {
@@ -90,8 +99,8 @@ fn software_skipping_composes_with_save_by_freeing_the_front_end() {
             ..GemmWorkload::dense("st", explicit_spec(), 48, 2).with_sparsity(0.6, 0.0)
         };
         let skipping = GemmWorkload { software_bs_skip: true, ..plain.clone() };
-        let r_save = run_kernel(&plain, ConfigKind::Save2Vpu, &machine, seed, true).unwrap();
-        let r_both = run_kernel(&skipping, ConfigKind::Save2Vpu, &machine, seed, true).unwrap();
+        let r_save = verified(cell(&plain, ConfigKind::Save2Vpu, seed));
+        let r_both = verified(cell(&skipping, ConfigKind::Save2Vpu, seed));
         assert!(r_save.completed && r_both.completed);
         sum_save += r_save.cycles;
         sum_both += r_both.cycles;
@@ -113,9 +122,8 @@ fn streaming_workload(nbs: f64, compressed: bool) -> GemmWorkload {
 
 #[test]
 fn compressed_loads_are_functionally_exact() {
-    let machine = MachineConfig::default();
     for nbs in [0.0, 0.5, 0.9] {
-        let r = run_kernel(&streaming_workload(nbs, true), ConfigKind::Save2Vpu, &machine, 9, true).unwrap();
+        let r = verified(cell(&streaming_workload(nbs, true), ConfigKind::Save2Vpu, 9));
         assert!(r.completed && r.verified, "nbs={nbs}");
     }
 }
@@ -125,10 +133,9 @@ fn zcomp_lifts_the_bandwidth_cap_proportionally_to_nbs() {
     // §VIII: ZCOMP's memory reduction is proportional to SAVE's computation
     // reduction. On a streaming (bandwidth-bound) kernel, SAVE alone caps;
     // SAVE+ZCOMP keeps scaling with NBS.
-    let machine = MachineConfig::default();
     let nbs = 0.8;
-    let save_only = run_kernel(&streaming_workload(nbs, false), ConfigKind::Save2Vpu, &machine, 11, false).unwrap();
-    let with_zcomp = run_kernel(&streaming_workload(nbs, true), ConfigKind::Save2Vpu, &machine, 11, false).unwrap();
+    let save_only = run(cell(&streaming_workload(nbs, false), ConfigKind::Save2Vpu, 11));
+    let with_zcomp = run(cell(&streaming_workload(nbs, true), ConfigKind::Save2Vpu, 11));
     assert!(
         with_zcomp.cycles * 10 < save_only.cycles * 9,
         "compressed streaming must be >10% faster at 80% NBS: {} vs {}",
@@ -136,8 +143,8 @@ fn zcomp_lifts_the_bandwidth_cap_proportionally_to_nbs() {
         save_only.cycles
     );
     // Dense data: compression buys (almost) nothing.
-    let d_plain = run_kernel(&streaming_workload(0.0, false), ConfigKind::Save2Vpu, &machine, 13, false).unwrap();
-    let d_comp = run_kernel(&streaming_workload(0.0, true), ConfigKind::Save2Vpu, &machine, 13, false).unwrap();
+    let d_plain = run(cell(&streaming_workload(0.0, false), ConfigKind::Save2Vpu, 13));
+    let d_comp = run(cell(&streaming_workload(0.0, true), ConfigKind::Save2Vpu, 13));
     let ratio = d_comp.cycles as f64 / d_plain.cycles as f64;
     assert!((0.85..=1.15).contains(&ratio), "dense compression is a wash: {ratio:.2}");
 }

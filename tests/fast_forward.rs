@@ -10,7 +10,7 @@
 
 use save::core::{CoreConfig, SanitizeLevel};
 use save::kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save::sim::runner::{run_kernel_custom, ConfigKind, MachineConfig, MachineMode};
+use save::sim::{CellSpec, ConfigKind, KernelResult, MachineConfig, MachineMode};
 
 /// The three reference workload classes (mirroring perfstat's pinned sweep,
 /// scaled down): compute-bound, memory-streaming, and mixed-precision.
@@ -31,6 +31,10 @@ fn workloads() -> Vec<GemmWorkload> {
     vec![compute, stream, mixed]
 }
 
+fn verified(spec: CellSpec) -> KernelResult {
+    spec.with_verify(true).run(None).unwrap().result
+}
+
 #[test]
 fn fast_forward_is_observationally_pure() {
     let m = MachineConfig::default();
@@ -39,8 +43,8 @@ fn fast_forward_is_observationally_pure() {
             let on = kind.core_config();
             assert!(on.fast_forward, "fast-forward must default on");
             let off = CoreConfig { fast_forward: false, ..on };
-            let a = run_kernel_custom(&w, &on, &m, 7, true).unwrap();
-            let b = run_kernel_custom(&w, &off, &m, 7, true).unwrap();
+            let a = verified(CellSpec::custom(w.clone(), on, m, 7));
+            let b = verified(CellSpec::custom(w.clone(), off, m, 7));
             assert!(a.verified && b.verified, "{} {kind:?}", w.name);
             assert_eq!(a.cycles, b.cycles, "{} {kind:?}: cycle counts drifted", w.name);
             assert_eq!(a.stats, b.stats, "{} {kind:?}: statistics drifted", w.name);
@@ -54,8 +58,8 @@ fn fast_forward_is_deterministic() {
     let m = MachineConfig::default();
     for w in workloads() {
         let cfg = ConfigKind::Save2Vpu.core_config();
-        let a = run_kernel_custom(&w, &cfg, &m, 11, true).unwrap();
-        let b = run_kernel_custom(&w, &cfg, &m, 11, true).unwrap();
+        let a = verified(CellSpec::custom(w.clone(), cfg, m, 11));
+        let b = verified(CellSpec::custom(w.clone(), cfg, m, 11));
         assert_eq!(a.cycles, b.cycles, "{}", w.name);
         assert_eq!(a.stats, b.stats, "{}", w.name);
     }
@@ -69,8 +73,8 @@ fn fast_forward_is_pure_in_detailed_multicore() {
     let w = &workloads()[1]; // the streaming workload: real DRAM gaps
     let on = ConfigKind::Save2Vpu.core_config();
     let off = CoreConfig { fast_forward: false, ..on };
-    let a = run_kernel_custom(w, &on, &m, 7, true).unwrap();
-    let b = run_kernel_custom(w, &off, &m, 7, true).unwrap();
+    let a = verified(CellSpec::custom(w.clone(), on, m, 7));
+    let b = verified(CellSpec::custom(w.clone(), off, m, 7));
     assert!(a.verified && b.verified);
     assert_eq!(a.cycles, b.cycles, "multicore cycle counts drifted");
     assert_eq!(a.stats, b.stats, "multicore statistics drifted");
@@ -85,8 +89,8 @@ fn fast_forward_is_pure_under_full_sanitizer() {
     let w = &workloads()[1];
     let on = CoreConfig { sanitize: SanitizeLevel::Full, ..ConfigKind::Save2Vpu.core_config() };
     let off = CoreConfig { fast_forward: false, ..on };
-    let a = run_kernel_custom(w, &on, &m, 7, true).unwrap();
-    let b = run_kernel_custom(w, &off, &m, 7, true).unwrap();
+    let a = verified(CellSpec::custom(w.clone(), on, m, 7));
+    let b = verified(CellSpec::custom(w.clone(), off, m, 7));
     assert!(a.completed && b.completed, "sanitizer flagged a clean run");
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.stats, b.stats);

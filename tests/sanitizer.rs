@@ -6,8 +6,7 @@
 
 use save::core::{CoreConfig, FaultKind, FaultPlan, SanitizeLevel};
 use save::kernels::{BroadcastPattern, GemmKernelSpec, GemmWorkload, Precision};
-use save::sim::runner::{run_kernel_custom, MachineConfig};
-use save::sim::{ConfigKind, FailureReport, SimError};
+use save::sim::{CellSpec, ConfigKind, FailureReport, MachineConfig, SimError};
 
 fn gemm() -> GemmWorkload {
     GemmWorkload::dense(
@@ -28,13 +27,17 @@ fn cfg_with(sanitize: SanitizeLevel) -> CoreConfig {
     CoreConfig { sanitize, ..ConfigKind::Save2Vpu.core_config() }
 }
 
+/// [`gemm`] under `cfg` on the default machine, seeded with `seed`.
+fn cell(cfg: CoreConfig, seed: u64) -> CellSpec {
+    CellSpec::custom(gemm(), cfg, MachineConfig::default(), seed)
+}
+
 #[test]
 fn clean_gemm_is_timing_identical_under_full_sanitize() {
-    let machine = MachineConfig::default();
-    let off = run_kernel_custom(&gemm(), &cfg_with(SanitizeLevel::Off), &machine, 1, true)
-        .expect("clean run (sanitize off)");
-    let full = run_kernel_custom(&gemm(), &cfg_with(SanitizeLevel::Full), &machine, 1, true)
-        .expect("clean run (sanitize full)");
+    let off = cell(cfg_with(SanitizeLevel::Off), 1).with_verify(true).run(None);
+    let off = off.expect("clean run (sanitize off)").result;
+    let full = cell(cfg_with(SanitizeLevel::Full), 1).with_verify(true).run(None);
+    let full = full.expect("clean run (sanitize full)").result;
     assert!(off.completed && full.completed);
     assert!(off.verified && full.verified);
     assert_eq!(off.cycles, full.cycles, "sanitizer perturbed the timing model");
@@ -44,7 +47,9 @@ fn clean_gemm_is_timing_identical_under_full_sanitize() {
 fn injected_fault_surfaces_as_typed_invariant_violation() {
     let mut cfg = cfg_with(SanitizeLevel::Full);
     cfg.fault = Some(FaultPlan::new(FaultKind::FlipElmBit, 50, 3));
-    let err = run_kernel_custom(&gemm(), &cfg, &MachineConfig::default(), 1, true)
+    let err = cell(cfg, 1)
+        .with_verify(true)
+        .run(None)
         .expect_err("corrupted ELM must abort the run");
     match err {
         SimError::InvariantViolation { kernel, report, .. } => {
@@ -64,8 +69,7 @@ fn violation_rolls_up_into_a_failure_report() {
     let mut cfg = cfg_with(SanitizeLevel::Full);
     cfg.fault = Some(FaultPlan::new(FaultKind::FreeLivePhys, 50, 3));
     let results: Vec<Result<u64, SimError>> =
-        vec![Ok(1), run_kernel_custom(&gemm(), &cfg, &MachineConfig::default(), 1, true)
-            .map(|r| r.cycles)];
+        vec![Ok(1), cell(cfg, 1).with_verify(true).run(None).map(|r| r.result.cycles)];
     let report = FailureReport::from_results(&results, |i| Some(format!("job-{i}")));
     assert_eq!(report.total_jobs, 2);
     assert_eq!(report.succeeded, 1);
@@ -104,14 +108,11 @@ fn sanitize_full_slowdown_is_bounded() {
     // an unchecked run. Wall-clock on shared CI hosts is noisy, so allow
     // slack above the nominal 2x while still catching accidental
     // quadratic-cost checkers.
-    let machine = MachineConfig::default();
     let t0 = std::time::Instant::now();
-    let off = run_kernel_custom(&gemm(), &cfg_with(SanitizeLevel::Off), &machine, 2, false)
-        .expect("clean run (off)");
+    let off = cell(cfg_with(SanitizeLevel::Off), 2).run(None).expect("clean run (off)").result;
     let d_off = t0.elapsed();
     let t1 = std::time::Instant::now();
-    let full = run_kernel_custom(&gemm(), &cfg_with(SanitizeLevel::Full), &machine, 2, false)
-        .expect("clean run (full)");
+    let full = cell(cfg_with(SanitizeLevel::Full), 2).run(None).expect("clean run (full)").result;
     let d_full = t1.elapsed();
     assert!(off.completed && full.completed);
     let ratio = d_full.as_secs_f64() / d_off.as_secs_f64().max(1e-9);
